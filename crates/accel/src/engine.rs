@@ -19,13 +19,15 @@
 //!   i32 accumulators, SDP output, packed surfaces). Buffers are resized per
 //!   op but their capacity only grows, so steady-state inference performs
 //!   zero heap allocation;
-//! * [`Accelerator::run_batch_i8`] executes the fast path over an image
+//! * [`Accelerator::run_batch_i8`] executes each op once over an image
 //!   mini-batch: one im2col + GEMM per layer with the mini-batch's columns
-//!   side by side. Per-column independence of GEMM makes the batched result
-//!   bit-identical to the per-image path; intermediate surfaces live in the
-//!   scratch arena rather than DRAM (DRAM access counters therefore account
-//!   weights once per arena fill, and intermediate traffic only on the
-//!   per-image path).
+//!   side by side, plus the lane-sparse fault delta. Per-column
+//!   independence makes the batched result bit-identical to the per-image
+//!   path; intermediate surfaces live in the scratch arena rather than DRAM
+//!   (DRAM access counters therefore account weights once per arena fill,
+//!   and intermediate traffic only on the per-image path, which stages each
+//!   op's surfaces through DRAM around the same executors with a batch of
+//!   one).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -34,52 +36,31 @@ use std::sync::{Arc, OnceLock};
 use nvfi_obs::metrics::{self, Counter};
 
 use nvfi_compiler::plan::{ConvOp, ExecutionPlan, LinearOp, PlanOp, PoolKind, PoolOp, RegWrite};
+use nvfi_compiler::regmap::MultId;
 use nvfi_compiler::surface;
 use nvfi_hwnum::{sat, I18};
 use nvfi_quant::exec::sdp_postprocess;
-use nvfi_tensor::{conv, gemm, im2col, pool, ConvGeom, Shape4, Tensor};
+use nvfi_tensor::{gemm, im2col, pool, ConvGeom, Shape4, Tensor};
 
 use crate::csb::CsbSpace;
 use crate::dram::Dram;
 use crate::error::AccelError;
-use crate::fi::{FaultConfig, FaultInjectorBank};
+use crate::fi::{FaultConfig, FaultInjectorBank, LaneMux};
 use crate::perf::{self, AccelConfig, PerfReport};
 
 /// How convolutions are evaluated functionally.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Every product goes through its injector mux; honours bit-granular
-    /// faults and transient windows. Slow — ground truth.
+    /// The reference engine: every product goes through its injector mux
+    /// in the CMAC's atomic-op schedule. Slow — the oracle the other mode
+    /// is tested against.
     Exact,
-    /// Clean GEMM plus per-faulted-lane algebraic corrections. Only valid
-    /// for permanent full-lane overrides; errors otherwise (transient
-    /// windows already at [`Accelerator::set_fault_window`] time).
-    Fast,
-    /// Resolve **per op**: `Fast` wherever the programmed faults allow it,
-    /// `Exact` where they do not. Under a transient window only the ops
-    /// whose MAC-cycle span intersects the window run exact — the
-    /// fault-free prefix and the post-pulse suffix keep the fast path
-    /// (op-scoped execution, bit-identical to all-exact).
+    /// Clean im2col + GEMM, then the lane-sparse fault delta: `apply(p) - p`
+    /// summed over the selected lanes' products whose cycle lies in the
+    /// fault window. Bit-identical to [`ExecMode::Exact`] for every fault
+    /// kind, with or without a window.
     #[default]
     Auto,
-}
-
-/// How one plan op is evaluated — the per-op refinement of [`ExecMode`].
-///
-/// A transient fault window only touches the ops whose MAC-cycle span
-/// intersects it, so everything outside the window runs the fast path with
-/// **no** corrections (the injectors are provably inactive for every one of
-/// those ops' cycles), and only the intersecting ops pay for the per-product
-/// exact engine.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum OpPath {
-    /// Clean register-tiled im2col + GEMM; no fault can observe this op.
-    Fast,
-    /// Fast plus per-faulted-lane algebraic corrections (permanent
-    /// full-lane overrides).
-    FastCorrected,
-    /// Per-product exact engine with injection armed.
-    Exact,
 }
 
 /// Process-wide count of golden-prefix captures
@@ -101,21 +82,28 @@ fn golden_restore_counter() -> &'static Counter {
     C.get_or_init(|| metrics::counter("golden_restores"))
 }
 
-/// Per-op path-decision counters (`engine_path_fast`,
-/// `engine_path_fast_corrected`, `engine_path_exact`): how often the
-/// engine took each [`OpPath`]. The fast/exact split is the whole point
-/// of the windowed-execution optimization, so the registry exposes it.
-fn path_counter(path: OpPath) -> &'static Counter {
-    static FAST: OnceLock<Counter> = OnceLock::new();
-    static CORRECTED: OnceLock<Counter> = OnceLock::new();
-    static EXACT: OnceLock<Counter> = OnceLock::new();
-    match path {
-        OpPath::Fast => FAST.get_or_init(|| metrics::counter("engine_path_fast")),
-        OpPath::FastCorrected => {
-            CORRECTED.get_or_init(|| metrics::counter("engine_path_fast_corrected"))
-        }
-        OpPath::Exact => EXACT.get_or_init(|| metrics::counter("engine_path_exact")),
-    }
+/// Per-image counts of conv and linear op executions, by how the MAC
+/// array was evaluated. The registry names date from an earlier
+/// three-path engine and are kept for their readers:
+///
+/// * `engine_path_fast`: clean GEMM with an empty lane delta (no fault
+///   active, or the fault window misses the op);
+/// * `engine_path_fast_corrected`: clean GEMM plus a non-empty lane delta;
+/// * `engine_path_exact`: the reference engine, only under
+///   [`ExecMode::Exact`].
+struct PathCounters {
+    clean: Counter,
+    delta: Counter,
+    exact: Counter,
+}
+
+fn path_counters() -> &'static PathCounters {
+    static C: OnceLock<PathCounters> = OnceLock::new();
+    C.get_or_init(|| PathCounters {
+        clean: metrics::counter("engine_path_fast"),
+        delta: metrics::counter("engine_path_fast_corrected"),
+        exact: metrics::counter("engine_path_exact"),
+    })
 }
 
 /// Reads the process-wide golden-prefix capture counter (test probe).
@@ -197,25 +185,18 @@ impl WeightArena {
 struct Scratch {
     /// DMA staging for surface reads and arena refills.
     dma: Vec<i8>,
-    /// Unpacked (dense CHW) input of the current op.
-    input: Vec<i8>,
     /// im2col column matrix.
     cols: Vec<i8>,
     /// i32 accumulators of the current op.
     acc: Vec<i32>,
-    /// Dense CHW output of the current op (pre-packing).
-    out: Vec<i8>,
-    /// DMA staging for the residual surface.
-    res_raw: Vec<i8>,
-    /// Unpacked residual input.
-    res: Vec<i8>,
     /// Packed output surface to write back.
     packed: Vec<i8>,
-    /// Logit staging for the linear head.
+    /// Logits of the linear head, image-major.
     logits: Vec<i32>,
     /// Quantized-input staging of the f32 convenience wrappers.
     qinput: Vec<i8>,
-    /// Batched intermediate surfaces (dense CHW, batch-major), by address.
+    /// Dense CHW surfaces (batch-major) by DRAM address: every surface of a
+    /// batched run, and the staged inputs and outputs of the per-image path.
     batch_surfaces: HashMap<u64, Vec<i8>>,
 }
 
@@ -226,8 +207,8 @@ pub struct Accelerator {
     csb: CsbSpace,
     dram: Dram,
     plan: Option<Arc<ExecutionPlan>>,
-    /// Functional MAC-array cycle counter (atomic ops retired); used to gate
-    /// transient fault windows in exact mode.
+    /// Functional MAC-array cycle counter (atomic ops retired by the
+    /// current inference launch).
     cycle: u64,
     arena: WeightArena,
     scratch: Scratch,
@@ -236,7 +217,7 @@ pub struct Accelerator {
     perf_template: Option<PerfReport>,
     /// Per-op MAC-cycle spans of the loaded plan
     /// ([`ExecutionPlan::mac_cycle_spans`], computed once per plan) — the
-    /// schedule table op-scoped exact execution consults per op.
+    /// schedule table that places a transient window inside each op.
     spans: Vec<Range<u64>>,
 }
 
@@ -501,11 +482,10 @@ impl Accelerator {
     }
 
     /// Restricts injection to a cycle window (a transient / "pulse" fault).
-    /// Windows need the per-product exact engine, but only for the ops whose
-    /// MAC-cycle span intersects the window: under [`ExecMode::Auto`] the
-    /// fault-free prefix and the post-pulse suffix keep the fast
-    /// register-tiled path (op-scoped execution); [`ExecMode::Exact`] runs
-    /// everything exact.
+    /// Under [`ExecMode::Auto`] the window maps to one contiguous range of
+    /// each op's products, and only the selected lanes' products in that
+    /// range add a fault delta to the clean GEMM; ops the window misses run
+    /// the clean GEMM alone.
     ///
     /// Cycle numbering restarts at every launched inference (see
     /// [`Accelerator::mac_cycles_retired`]), so the window describes a pulse
@@ -515,13 +495,9 @@ impl Accelerator {
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::FastPathUnsupported`] for a non-`None` window
-    /// under [`ExecMode::Fast`] (the fast path cannot arm injection for the
-    /// intersecting ops — previously this surfaced only at inference time,
-    /// deep in the engine), and [`AccelError::BadPlan`] if a plan is loaded
-    /// and the window cannot overlap any retired MAC cycle (`1..=total`):
-    /// such a "pulse" would silently run a fault-free campaign at exact-mode
-    /// cost.
+    /// Returns [`AccelError::BadPlan`] if a plan is loaded and the window
+    /// cannot overlap any retired MAC cycle (`1..=total`): such a "pulse"
+    /// would silently run a fault-free campaign.
     pub fn set_fault_window(&mut self, window: Option<Range<u64>>) -> Result<(), AccelError> {
         if let Some(w) = &window {
             self.validate_fault_window(w)?;
@@ -530,18 +506,15 @@ impl Accelerator {
         Ok(())
     }
 
-    /// Read-only validation of a prospective transient window: everything
-    /// [`Accelerator::set_fault_window`] checks (execution-mode conflict,
-    /// plan-schedule overlap when a plan is loaded) without mutating the
-    /// device — for callers that want to surface window errors up front.
+    /// Read-only validation of a prospective transient window: the
+    /// plan-schedule overlap check of [`Accelerator::set_fault_window`]
+    /// (when a plan is loaded) without mutating the device — for callers
+    /// that want to surface window errors up front.
     ///
     /// # Errors
     ///
     /// Same contract as [`Accelerator::set_fault_window`].
     pub fn validate_fault_window(&self, window: &Range<u64>) -> Result<(), AccelError> {
-        if self.config.mode == ExecMode::Fast {
-            return Err(AccelError::FastPathUnsupported);
-        }
         if let Some(plan) = &self.plan {
             Self::validate_window(window, plan.total_mac_cycles())?;
         }
@@ -604,8 +577,9 @@ impl Accelerator {
 
     /// The functional MAC-array cycle counter: atomic ops retired by the
     /// most recent inference launch ([`Accelerator::run_inference_i8`] run,
-    /// or one [`Accelerator::run_batch_i8`] fast-path batch). The counter
-    /// restarts at each launch so transient fault windows are
+    /// or one [`Accelerator::run_batch_i8`] batch, which counts every
+    /// image's cycles). The counter restarts at each launch; transient fault
+    /// windows are placed by the plan's per-inference schedule, so they are
     /// per-inference-deterministic.
     #[must_use]
     pub fn mac_cycles_retired(&self) -> u64 {
@@ -781,16 +755,57 @@ impl Accelerator {
         Ok(())
     }
 
-    /// Executes plan ops `[from, to)` on the per-image path.
+    /// Executes plan ops `[from, to)` on one image through DRAM: each op's
+    /// input (and residual) surfaces are unpacked from DRAM into the scratch
+    /// surface map, the batched executor runs with a batch of one, and the
+    /// op's output is packed back to DRAM.
     fn exec_ops(&mut self, plan: &ExecutionPlan, from: usize, to: usize) -> Result<(), AccelError> {
         for (i, op) in plan.ops.iter().enumerate().take(to).skip(from) {
             match op {
-                PlanOp::Conv(c) => self.exec_conv(i, c)?,
-                PlanOp::Pool(p) => self.exec_pool(p)?,
-                PlanOp::Linear(l) => self.exec_linear(i, l)?,
+                PlanOp::Conv(c) => {
+                    let g = &c.geom;
+                    let out_shape = Shape4::new(1, g.k, g.oh, g.ow);
+                    self.stage_surface(c.input_addr, g.input.with_n(1))?;
+                    if let Some(addr) = c.fuse_add_addr {
+                        self.stage_surface(addr, out_shape)?;
+                    }
+                    self.exec_conv_batch(i, c, 1)?;
+                    self.write_surface(c.output_addr, out_shape)?;
+                }
+                PlanOp::Pool(p) => {
+                    self.stage_surface(p.input_addr, p.in_shape.with_n(1))?;
+                    self.exec_pool_batch(p, 1);
+                    self.write_surface(p.output_addr, p.out_shape())?;
+                }
+                PlanOp::Linear(l) => {
+                    self.stage_surface(l.input_addr, Shape4::new(1, l.in_f, 1, 1))?;
+                    self.exec_linear_batch(i, l, 1)?;
+                    self.dram.write_i32(l.output_addr, &self.scratch.logits)?;
+                }
             }
         }
         Ok(())
+    }
+
+    /// Unpacks the one-image DRAM surface of `shape` at `addr` into the
+    /// scratch surface map.
+    fn stage_surface(&mut self, addr: u64, shape: Shape4) -> Result<(), AccelError> {
+        let bytes = surface::surface_bytes(shape.c, shape.h, shape.w) as u64;
+        self.dram.read_i8_into(addr, bytes, &mut self.scratch.dma)?;
+        let dense = self.scratch.batch_surfaces.entry(addr).or_default();
+        dense.resize(shape.image_len(), 0);
+        surface::unpack_surface_into(&self.scratch.dma, shape, dense);
+        Ok(())
+    }
+
+    /// Packs the one-image scratch surface of `shape` at `addr` back to
+    /// DRAM.
+    fn write_surface(&mut self, addr: u64, shape: Shape4) -> Result<(), AccelError> {
+        let dense = &self.scratch.batch_surfaces[&addr];
+        let packed = &mut self.scratch.packed;
+        packed.resize(surface::surface_bytes(shape.c, shape.h, shape.w), 0);
+        surface::pack_surface_into(dense, shape, packed);
+        self.dram.write_i8(addr, packed)
     }
 
     /// Reads the logits back and assembles an [`InferenceResult`].
@@ -810,13 +825,14 @@ impl Accelerator {
 
     /// Runs a mini-batch of pre-quantized i8 images.
     ///
-    /// On the fast path this executes each layer once for the whole batch —
-    /// the images' im2col columns sit side by side in one GEMM — with
-    /// intermediate surfaces held in the scratch arena instead of DRAM. The
-    /// result is bit-identical to running [`Accelerator::run_inference_i8`]
-    /// per image (GEMM output columns are independent). Whenever the exact
-    /// engine is required (bit-granular faults, transient windows, exact
-    /// mode), the batch transparently degrades to the per-image path.
+    /// Each layer executes once for the whole batch — the images' im2col
+    /// columns sit side by side in one GEMM, and the lane delta of any fault
+    /// kind and window is added per image column block — with intermediate
+    /// surfaces held in the scratch arena instead of DRAM. The result is
+    /// bit-identical to running [`Accelerator::run_inference_i8`] per image
+    /// (output columns are independent, and every image sees the same
+    /// per-inference cycle numbering). A batch of one runs the per-image
+    /// path, so its DRAM surfaces match a single inference.
     ///
     /// # Errors
     ///
@@ -841,7 +857,8 @@ impl Accelerator {
     /// back-to-back CHW slices — [`Accelerator::run_batch_i8`] without the
     /// owning [`Tensor`]: device pools point this at sub-views of a
     /// campaign-lifetime quantized evaluation set, so the per-call cost is
-    /// zero copies and zero quantization.
+    /// zero copies and zero quantization. Every fault kind and transient
+    /// window runs batched; only a batch of one takes the per-image path.
     ///
     /// # Errors
     ///
@@ -863,12 +880,8 @@ impl Accelerator {
         if b_n == 0 {
             return Ok(Vec::new());
         }
-        if b_n == 1 || self.effective_exact()? {
-            let mut out = Vec::with_capacity(b_n);
-            for n in 0..b_n {
-                out.push(self.run_inference_i8_view(&images[n * image_len..(n + 1) * image_len])?);
-            }
-            return Ok(out);
+        if b_n == 1 {
+            return Ok(vec![self.run_inference_i8_view(images)?]);
         }
         self.cycle = 0;
         // Seed the surface map with the (already dense NCHW) input batch.
@@ -879,33 +892,33 @@ impl Accelerator {
             .or_default();
         input_buf.clear();
         input_buf.extend_from_slice(images);
-        let mut logits_per_image: Vec<Vec<i32>> = Vec::new();
+        let mut has_head = false;
         for (i, op) in plan.ops.iter().enumerate() {
             match op {
                 PlanOp::Conv(c) => self.exec_conv_batch(i, c, b_n)?,
                 PlanOp::Pool(p) => self.exec_pool_batch(p, b_n),
                 PlanOp::Linear(l) => {
-                    logits_per_image = self.exec_linear_batch(i, l, b_n)?;
+                    self.exec_linear_batch(i, l, b_n)?;
+                    has_head = true;
                 }
             }
         }
-        if logits_per_image.len() != b_n {
+        if !has_head {
             return Err(AccelError::BadPlan("plan has no linear head".into()));
         }
+        let per_image = self.scratch.logits.len() / b_n;
         // DRAM parity for the last image's logits (per-image runs leave the
         // most recent inference's logits at the output address).
-        if let Some(last) = logits_per_image.last() {
-            self.dram.write_i32(plan.output_addr, last)?;
-        }
-        Ok(logits_per_image
-            .into_iter()
-            .map(|logits| {
-                let class = nvfi_quant::exec::argmax(&logits);
-                InferenceResult {
-                    logits,
-                    class,
-                    perf: self.perf_report(),
-                }
+        let last = &self.scratch.logits[(b_n - 1) * per_image..];
+        self.dram.write_i32(plan.output_addr, last)?;
+        Ok(self
+            .scratch
+            .logits
+            .chunks_exact(per_image)
+            .map(|logits| InferenceResult {
+                logits: logits.to_vec(),
+                class: nvfi_quant::exec::argmax(logits),
+                perf: self.perf_report(),
             })
             .collect())
     }
@@ -937,8 +950,8 @@ impl Accelerator {
     }
 
     /// Classifies a batch of pre-quantized i8 images borrowed as dense,
-    /// back-to-back CHW slices, running the fast path over mini-batches of
-    /// [`AccelConfig::batch`] images. Each mini-batch is a borrowed sub-view
+    /// back-to-back CHW slices, in mini-batches of [`AccelConfig::batch`]
+    /// images. Each mini-batch is a borrowed sub-view
     /// — no per-call copy and no quantization, which is what lets a
     /// fault-injection campaign quantize its evaluation set exactly once.
     ///
@@ -992,241 +1005,33 @@ impl Accelerator {
 
     // -- internal op execution ---------------------------------------------
 
-    /// Whether any op of the next inference may need the per-image exact
-    /// engine — the batch-level decision that drops
-    /// [`Accelerator::run_batch_i8_view`] to the per-image path, where
-    /// [`Accelerator::op_path`] refines the choice per op.
-    fn effective_exact(&self) -> Result<bool, AccelError> {
-        let fi = &self.csb.fi;
-        let needs_exact = fi.any_active() && (!fi.is_full_override() || fi.window.is_some());
-        match self.config.mode {
-            ExecMode::Exact => Ok(true),
-            ExecMode::Fast => {
-                if needs_exact {
-                    Err(AccelError::FastPathUnsupported)
-                } else {
-                    Ok(false)
-                }
-            }
-            ExecMode::Auto => Ok(needs_exact),
-        }
-    }
-
-    /// The execution path of plan op `op_idx` under the current fault
-    /// programming — op-scoped exact execution:
-    ///
-    /// * no active fault → [`OpPath::Fast`];
-    /// * permanent full-lane override → [`OpPath::FastCorrected`]
-    ///   (algebraic corrections, no exact engine anywhere);
-    /// * permanent bit-granular fault → [`OpPath::Exact`] for every op
-    ///   (full-inference exact, as before);
-    /// * transient window → [`OpPath::Exact`] only for ops whose MAC-cycle
-    ///   span intersects the window; every other op — the golden prefix and
-    ///   the tainted suffix — runs [`OpPath::Fast`] with **no** corrections,
-    ///   because the injectors are inactive for all of its cycles.
-    ///
-    /// [`ExecMode::Exact`] forces everything exact; [`ExecMode::Fast`]
-    /// errors whenever the exact engine would be needed.
-    fn op_path(&self, op_idx: usize) -> Result<OpPath, AccelError> {
-        // Count every decision in the registry (`engine_path_*`).
-        fn counted(path: OpPath) -> Result<OpPath, AccelError> {
-            path_counter(path).inc();
-            Ok(path)
-        }
-        if self.config.mode == ExecMode::Exact {
-            return counted(OpPath::Exact);
-        }
-        let fi = &self.csb.fi;
-        if !fi.any_active() {
-            return counted(OpPath::Fast);
-        }
-        let needs_exact = match &fi.window {
-            Some(w) => span_intersects(&self.spans[op_idx], w),
-            None => !fi.is_full_override(),
-        };
-        if needs_exact {
-            if self.config.mode == ExecMode::Fast {
-                return Err(AccelError::FastPathUnsupported);
-            }
-            return counted(OpPath::Exact);
-        }
-        if fi.window.is_some() {
-            // Windowed fault missing this op entirely: plain fast, no
-            // corrections — the mux output equals the product for every
-            // cycle of this op's span.
-            return counted(OpPath::Fast);
-        }
-        counted(OpPath::FastCorrected)
-    }
-
-    /// Atomic-op (MAC-array cycle) count of plan op `op_idx`, read from the
-    /// cached schedule table — the *same* numbers the exact engine retires
-    /// one by one, so fast-path bulk bumps and exact per-product counting
-    /// can never drift apart.
-    fn op_mac_cycles(&self, op_idx: usize) -> u64 {
-        let s = &self.spans[op_idx];
-        s.end - s.start
-    }
-
-    fn exec_conv(&mut self, op_idx: usize, op: &ConvOp) -> Result<(), AccelError> {
-        let path = self.op_path(op_idx)?;
-        let op_cycles = self.op_mac_cycles(op_idx);
-        self.refresh_weights(op_idx)?;
-        let g = op.geom;
-        let in_shape = g.input.with_n(1);
-        let in_bytes = surface::surface_bytes(g.input.c, g.input.h, g.input.w) as u64;
-        self.dram
-            .read_i8_into(op.input_addr, in_bytes, &mut self.scratch.dma)?;
-        self.scratch.input.resize(in_shape.image_len(), 0);
-        surface::unpack_surface_into(&self.scratch.dma, in_shape, &mut self.scratch.input);
-        // Residual surface, if fused.
-        let out_shape = Shape4::new(1, g.k, g.oh, g.ow);
-        let residual = match op.fuse_add_addr {
-            Some(addr) => {
-                let bytes = surface::surface_bytes(g.k, g.oh, g.ow) as u64;
-                self.dram
-                    .read_i8_into(addr, bytes, &mut self.scratch.res_raw)?;
-                self.scratch.res.resize(out_shape.image_len(), 0);
-                surface::unpack_surface_into(
-                    &self.scratch.res_raw,
-                    out_shape,
-                    &mut self.scratch.res,
-                );
-                true
-            }
-            None => false,
-        };
-        // Accumulate.
-        let this = &mut *self;
-        let fi = &this.csb.fi;
-        let gated = this.config.idle_lanes == IdleLanePolicy::Gated;
-        let weights =
-            &this.arena.entries[this.arena.by_op[op_idx].expect("conv has weights")].weights;
-        let scratch = &mut this.scratch;
-        scratch.acc.resize(g.k * g.oh * g.ow, 0);
-        if path == OpPath::Exact {
-            scratch.acc.fill(0);
-            conv_exact_into(
-                fi,
-                gated,
-                &mut this.cycle,
-                &scratch.input,
-                weights,
-                &g,
-                &mut scratch.acc,
-            );
-        } else {
-            conv::conv2d_i8_into(
-                &scratch.input,
-                weights.as_slice(),
-                &g,
-                &mut scratch.cols,
-                &mut scratch.acc,
-                1,
-            );
-            this.cycle += op_cycles;
-            if path == OpPath::FastCorrected {
-                apply_fast_corrections_into(
-                    fi,
-                    gated,
-                    &scratch.input,
-                    weights,
-                    &g,
-                    &mut scratch.acc,
-                    g.oh * g.ow,
-                    0,
-                );
-            }
-        }
-        // SDP: bias, requant, optional residual add, relu, saturate.
-        scratch.out.resize(out_shape.image_len(), 0);
-        sdp_into(
-            op,
-            &g,
-            &scratch.acc,
-            g.oh * g.ow,
-            0,
-            residual.then_some(&scratch.res[..]),
-            &mut scratch.out,
-        );
-        scratch
-            .packed
-            .resize(surface::surface_bytes(g.k, g.oh, g.ow), 0);
-        surface::pack_surface_into(&scratch.out, out_shape, &mut scratch.packed);
-        let packed = std::mem::take(&mut this.scratch.packed);
-        this.dram.write_i8(op.output_addr, &packed)?;
-        this.scratch.packed = packed;
-        Ok(())
-    }
-
-    /// Batched fast-path convolution: surfaces come from and go to the
-    /// scratch surface map; one GEMM covers the whole mini-batch.
+    /// Batched convolution: surfaces come from and go to the scratch
+    /// surface map; one MAC-array pass covers the whole mini-batch.
     fn exec_conv_batch(
         &mut self,
         op_idx: usize,
         op: &ConvOp,
         b_n: usize,
     ) -> Result<(), AccelError> {
-        let op_cycles = self.op_mac_cycles(op_idx);
         self.refresh_weights(op_idx)?;
         let g = op.geom;
-        let in_len = g.input.image_len();
-        let out_shape = Shape4::new(1, g.k, g.oh, g.ow);
-        let out_len = out_shape.image_len();
         let n_cols = g.oh * g.ow;
-        let wide_n = b_n * n_cols;
-        let crs = g.input.c * g.r * g.s;
-
-        let this = &mut *self;
-        let fi = &this.csb.fi;
-        let gated = this.config.idle_lanes == IdleLanePolicy::Gated;
-        let weights =
-            &this.arena.entries[this.arena.by_op[op_idx].expect("conv has weights")].weights;
-        let scratch = &mut this.scratch;
-        let input = scratch
+        let out_len = g.k * n_cols;
+        let input = self
+            .scratch
             .batch_surfaces
             .remove(&op.input_addr)
             .expect("batched conv input surface computed");
-        assert_eq!(input.len(), b_n * in_len, "batched input length mismatch");
-        // im2col the whole batch side by side, then one GEMM.
-        scratch.cols.resize(crs * wide_n, 0);
-        for b in 0..b_n {
-            im2col::im2col_into_offset(
-                &input[b * in_len..(b + 1) * in_len],
-                &g,
-                &mut scratch.cols,
-                wide_n,
-                b * n_cols,
-            );
-        }
-        scratch.acc.resize(g.k * wide_n, 0);
-        scratch.acc.fill(0);
-        gemm::gemm_i8_i32_into(
-            weights.as_slice(),
-            &scratch.cols,
-            &mut scratch.acc,
-            g.k,
-            crs,
-            wide_n,
+        assert_eq!(
+            input.len(),
+            b_n * g.input.image_len(),
+            "batched input length mismatch"
         );
-        this.cycle += op_cycles * b_n as u64;
-        if fi.any_active() {
-            for b in 0..b_n {
-                apply_fast_corrections_into(
-                    fi,
-                    gated,
-                    &input[b * in_len..(b + 1) * in_len],
-                    weights,
-                    &g,
-                    &mut scratch.acc,
-                    wide_n,
-                    b * n_cols,
-                );
-            }
-        }
+        self.mac_array(op_idx, &g, &input, b_n);
         // SDP per image into the batched output surface. The output buffer
         // is owned (pulled out of the map), so the residual can stay a
         // borrow of its map entry.
+        let scratch = &mut self.scratch;
         let mut out = scratch
             .batch_surfaces
             .remove(&op.output_addr)
@@ -1234,9 +1039,13 @@ impl Accelerator {
         out.resize(b_n * out_len, 0);
         {
             let residual = op.fuse_add_addr.map(|addr| {
+                if addr == op.input_addr {
+                    return &input[..];
+                }
                 scratch
                     .batch_surfaces
                     .get(&addr)
+                    .map(Vec::as_slice)
                     .expect("batched residual surface computed")
             });
             for b in 0..b_n {
@@ -1244,7 +1053,7 @@ impl Accelerator {
                     op,
                     &g,
                     &scratch.acc,
-                    wide_n,
+                    b_n * n_cols,
                     b * n_cols,
                     residual.map(|r| &r[b * out_len..(b + 1) * out_len]),
                     &mut out[b * out_len..(b + 1) * out_len],
@@ -1255,26 +1064,6 @@ impl Accelerator {
         // onto the input region, DRAM semantics say the write wins.
         scratch.batch_surfaces.insert(op.input_addr, input);
         scratch.batch_surfaces.insert(op.output_addr, out);
-        Ok(())
-    }
-
-    fn exec_pool(&mut self, op: &PoolOp) -> Result<(), AccelError> {
-        let s = op.in_shape;
-        let bytes = surface::surface_bytes(s.c, s.h, s.w) as u64;
-        self.dram
-            .read_i8_into(op.input_addr, bytes, &mut self.scratch.dma)?;
-        self.scratch.input.resize(s.image_len(), 0);
-        surface::unpack_surface_into(&self.scratch.dma, s.with_n(1), &mut self.scratch.input);
-        let o = op.out_shape();
-        self.scratch.out.resize(o.image_len(), 0);
-        pool_into(op, &self.scratch.input, &mut self.scratch.out);
-        self.scratch
-            .packed
-            .resize(surface::surface_bytes(o.c, o.h, o.w), 0);
-        surface::pack_surface_into(&self.scratch.out, o, &mut self.scratch.packed);
-        let packed = std::mem::take(&mut self.scratch.packed);
-        self.dram.write_i8(op.output_addr, &packed)?;
-        self.scratch.packed = packed;
         Ok(())
     }
 
@@ -1305,87 +1094,18 @@ impl Accelerator {
         self.scratch.batch_surfaces.insert(op.output_addr, out);
     }
 
-    fn exec_linear(&mut self, op_idx: usize, op: &LinearOp) -> Result<(), AccelError> {
-        let path = self.op_path(op_idx)?;
-        let op_cycles = self.op_mac_cycles(op_idx);
-        self.refresh_weights(op_idx)?;
-        let in_shape = Shape4::new(1, op.in_f, 1, 1);
-        let bytes = surface::surface_bytes(op.in_f, 1, 1) as u64;
-        self.dram
-            .read_i8_into(op.input_addr, bytes, &mut self.scratch.dma)?;
-        self.scratch.input.resize(in_shape.image_len(), 0);
-        surface::unpack_surface_into(&self.scratch.dma, in_shape, &mut self.scratch.input);
-        // The head runs on the same MAC array as a 1x1 convolution over a
-        // 1x1 spatial extent — faults apply here too.
-        let g = ConvGeom::new(in_shape, op.out_f, 1, 1, 1, 0);
-        let this = &mut *self;
-        let fi = &this.csb.fi;
-        let gated = this.config.idle_lanes == IdleLanePolicy::Gated;
-        let weights =
-            &this.arena.entries[this.arena.by_op[op_idx].expect("linear has weights")].weights;
-        let scratch = &mut this.scratch;
-        scratch.acc.resize(op.out_f, 0);
-        if path == OpPath::Exact {
-            scratch.acc.fill(0);
-            conv_exact_into(
-                fi,
-                gated,
-                &mut this.cycle,
-                &scratch.input,
-                weights,
-                &g,
-                &mut scratch.acc,
-            );
-        } else {
-            conv::conv2d_i8_into(
-                &scratch.input,
-                weights.as_slice(),
-                &g,
-                &mut scratch.cols,
-                &mut scratch.acc,
-                1,
-            );
-            this.cycle += op_cycles;
-            if path == OpPath::FastCorrected {
-                apply_fast_corrections_into(
-                    fi,
-                    gated,
-                    &scratch.input,
-                    weights,
-                    &g,
-                    &mut scratch.acc,
-                    1,
-                    0,
-                );
-            }
-        }
-        scratch.logits.clear();
-        scratch
-            .logits
-            .extend((0..op.out_f).map(|o| scratch.acc[o].wrapping_add(op.bias[o])));
-        let logits = std::mem::take(&mut this.scratch.logits);
-        this.dram.write_i32(op.output_addr, &logits)?;
-        this.scratch.logits = logits;
-        Ok(())
-    }
-
+    /// Batched linear head — on the MAC array a 1x1 convolution over a 1x1
+    /// image. The biased logits land in `scratch.logits`, image-major.
     fn exec_linear_batch(
         &mut self,
         op_idx: usize,
         op: &LinearOp,
         b_n: usize,
-    ) -> Result<Vec<Vec<i32>>, AccelError> {
-        let op_cycles = self.op_mac_cycles(op_idx);
+    ) -> Result<(), AccelError> {
         self.refresh_weights(op_idx)?;
-        let in_shape = Shape4::new(1, op.in_f, 1, 1);
-        let g = ConvGeom::new(in_shape, op.out_f, 1, 1, 1, 0);
-        let this = &mut *self;
-        let fi = &this.csb.fi;
-        let gated = this.config.idle_lanes == IdleLanePolicy::Gated;
-        let weights =
-            &this.arena.entries[this.arena.by_op[op_idx].expect("linear has weights")].weights;
-        let scratch = &mut this.scratch;
-        let input = scratch
+        let g = ConvGeom::new(Shape4::new(1, op.in_f, 1, 1), op.out_f, 1, 1, 1, 0);
+        let input = self
+            .scratch
             .batch_surfaces
             .remove(&op.input_addr)
             .expect("batched linear input surface computed");
@@ -1394,47 +1114,95 @@ impl Accelerator {
             b_n * op.in_f,
             "batched linear input length mismatch"
         );
-        // B operand: (in_f x b_n), i.e. the batch-major input transposed.
-        scratch.cols.resize(op.in_f * b_n, 0);
+        self.mac_array(op_idx, &g, &input, b_n);
+        let scratch = &mut self.scratch;
+        scratch.logits.clear();
         for b in 0..b_n {
-            for c in 0..op.in_f {
-                scratch.cols[c * b_n + b] = input[b * op.in_f + c];
-            }
+            let acc = &scratch.acc;
+            scratch
+                .logits
+                .extend((0..op.out_f).map(|o| acc[o * b_n + b].wrapping_add(op.bias[o])));
         }
-        scratch.acc.resize(op.out_f * b_n, 0);
+        scratch.batch_surfaces.insert(op.input_addr, input);
+        Ok(())
+    }
+
+    /// Runs the MAC array of plan op `op_idx` — a convolution of geometry
+    /// `g` — over the `b_n` dense CHW images back to back in `input`, and
+    /// retires the op's cycles for every image. Leaves the
+    /// `K x (b_n * OH*OW)` accumulators in `scratch.acc`, image `b`'s
+    /// columns at offset `b * OH*OW`.
+    ///
+    /// [`ExecMode::Exact`] runs the reference engine per image; otherwise
+    /// this is the clean im2col + GEMM plus the lane-sparse fault delta.
+    fn mac_array(&mut self, op_idx: usize, g: &ConvGeom, input: &[i8], b_n: usize) {
+        let span = self.spans[op_idx].clone();
+        let n_cols = g.oh * g.ow;
+        let wide_n = b_n * n_cols;
+        let in_len = g.input.image_len();
+        let crs = g.input.c * g.r * g.s;
+        let fi = &self.csb.fi;
+        let gated = self.config.idle_lanes == IdleLanePolicy::Gated;
+        let weights =
+            &self.arena.entries[self.arena.by_op[op_idx].expect("MAC op has weights")].weights;
+        let scratch = &mut self.scratch;
+        scratch.acc.resize(g.k * wide_n, 0);
         scratch.acc.fill(0);
-        gemm::gemm_i8_i32_into(
-            weights.as_slice(),
-            &scratch.cols,
-            &mut scratch.acc,
-            op.out_f,
-            op.in_f,
-            b_n,
-        );
-        this.cycle += op_cycles * b_n as u64;
-        if fi.any_active() {
+        let counters = path_counters();
+        if self.config.mode == ExecMode::Exact {
             for b in 0..b_n {
-                apply_fast_corrections_into(
+                // Cycle numbering is per inference: every image of the
+                // batch starts the op at its span.
+                let mut cycle = span.start - 1;
+                conv_exact_into(
                     fi,
                     gated,
-                    &input[b * op.in_f..(b + 1) * op.in_f],
+                    &mut cycle,
+                    &input[b * in_len..(b + 1) * in_len],
                     weights,
-                    &g,
+                    g,
                     &mut scratch.acc,
-                    b_n,
-                    b,
+                    wide_n,
+                    b * n_cols,
                 );
             }
+            counters.exact.add(b_n as u64);
+        } else {
+            scratch.cols.resize(crs * wide_n, 0);
+            for b in 0..b_n {
+                im2col::im2col_into_offset(
+                    &input[b * in_len..(b + 1) * in_len],
+                    g,
+                    &mut scratch.cols,
+                    wide_n,
+                    b * n_cols,
+                );
+            }
+            gemm::gemm_i8_i32_into(
+                weights.as_slice(),
+                &scratch.cols,
+                &mut scratch.acc,
+                g.k,
+                crs,
+                wide_n,
+            );
+            let armed = armed_products(fi.window.as_ref(), &span);
+            if fi.any_active() && !armed.is_empty() {
+                LaneDelta {
+                    mux: fi.lane_mux(),
+                    gated,
+                    g,
+                    weights: weights.as_slice(),
+                    cols: &scratch.cols,
+                    b_n,
+                }
+                .add_into(fi.selected_lanes(), armed, &mut scratch.acc);
+                counters.delta.add(b_n as u64);
+            } else {
+                counters.clean.add(b_n as u64);
+            }
         }
-        let logits = (0..b_n)
-            .map(|b| {
-                (0..op.out_f)
-                    .map(|o| scratch.acc[o * b_n + b].wrapping_add(op.bias[o]))
-                    .collect()
-            })
-            .collect();
-        scratch.batch_surfaces.insert(op.input_addr, input);
-        Ok(logits)
+        self.cycle += (span.end - span.start) * b_n as u64;
     }
 }
 
@@ -1445,10 +1213,28 @@ fn span_intersects(a: &Range<u64>, b: &Range<u64>) -> bool {
     !a.is_empty() && !b.is_empty() && a.start < b.end && b.start < a.end
 }
 
-/// Ground-truth convolution: every product through its injector mux.
+/// The op-local products `[lo, hi)` the injectors are armed for: product
+/// `t` of an op retires at cycle `span.start + t`, so a window maps to one
+/// contiguous range. Without a window, every product.
+fn armed_products(window: Option<&Range<u64>>, span: &Range<u64>) -> Range<usize> {
+    let (lo, hi) = match window {
+        Some(w) => (
+            w.start.clamp(span.start, span.end),
+            w.end.clamp(span.start, span.end),
+        ),
+        None => (span.start, span.end),
+    };
+    (lo - span.start) as usize..(hi - span.start) as usize
+}
+
+/// The reference engine: every product through its injector mux.
 /// Schedule (defines the cycle numbering for transient windows):
 /// kernel-group -> output row -> output col -> channel-block -> tap.
-/// `acc` is the dense `K x OH x OW` accumulator (pre-zeroed).
+/// `acc` holds element `(k, oy, ox)` at
+/// `k * row_stride + col_off + oy * OW + ox` (pre-zeroed), which lets the
+/// batched executor place one image's column block inside the wide
+/// accumulator matrix.
+#[allow(clippy::too_many_arguments)]
 fn conv_exact_into(
     fi: &FaultInjectorBank,
     gated: bool,
@@ -1457,6 +1243,8 @@ fn conv_exact_into(
     weights: &Tensor<i8>,
     g: &ConvGeom,
     acc: &mut [i32],
+    row_stride: usize,
+    col_off: usize,
 ) {
     let (kg_n, cb_n) = (g.k.div_ceil(8), g.input.c.div_ceil(8));
     let (h, w) = (g.input.h, g.input.w);
@@ -1492,7 +1280,7 @@ fn conv_exact_into(
                                     let p = fi.apply(m * 8 + j, I18::from_product(a, wv), *cycle);
                                     psum = psum.wrapping_add(p.value());
                                 }
-                                let slot = &mut acc[(k * g.oh + oy) * g.ow + ox];
+                                let slot = &mut acc[k * row_stride + col_off + oy * g.ow + ox];
                                 *slot = slot.wrapping_add(psum);
                             }
                         }
@@ -1503,63 +1291,130 @@ fn conv_exact_into(
     }
 }
 
-/// Fast-path correction: for each faulted lane, replace its clean
-/// contribution with `forced_value * #products`. Exactly equal to the
-/// exact path for permanent full-lane overrides (see the property tests).
+/// The lane-sparse fault delta of one MAC op over a mini-batch: adds
+/// `Σ (apply(p) − p)` over the selected lanes' armed products to the clean
+/// GEMM accumulators, which makes them exactly what [`conv_exact_into`]
+/// accumulates (the i32 adds wrap, so the sum splits any way).
 ///
-/// `acc` addresses element `(k, oy, ox)` at
-/// `k * row_stride + col_off + oy * OW + ox`, which lets the batched
-/// executor correct one image's column block inside the widened GEMM
-/// output.
-#[allow(clippy::too_many_arguments)]
-fn apply_fast_corrections_into(
-    fi: &FaultInjectorBank,
+/// Product `t` of the op retires in the CMAC schedule kernel group →
+/// output pixel → channel block → tap, so
+/// `t = (kg * OH*OW + pix) * Q + cb * R*S + r * S + s` with
+/// `Q = ceil(C/8) * R*S` products per pixel. Per kernel group, an armed
+/// range of `t` is a run of whole pixels plus at most one partial pixel at
+/// each end. Lane `(m, j)` serves kernels `k ≡ m` and channels `c ≡ j`
+/// (mod 8), under the exact engine's rules: kernel-tail MACs (`k ≥ K`) are
+/// discarded, idle lanes (`c ≥ C`) add `apply(0)` unless gated, and padded
+/// taps — zero in the im2col matrix — add `apply(0)`.
+struct LaneDelta<'a> {
+    mux: LaneMux,
     gated: bool,
-    input: &[i8],
-    weights: &Tensor<i8>,
-    g: &ConvGeom,
-    acc: &mut [i32],
-    row_stride: usize,
-    col_off: usize,
-) {
-    let v = i64::from(fi.forced_value());
-    let cb_n = g.input.c.div_ceil(8);
-    let (h, w) = (g.input.h, g.input.w);
-    for lane in fi.selected_lanes() {
-        let (m, j) = (lane.mac as usize, lane.mult as usize);
-        let real_blocks = if j < g.input.c {
-            (g.input.c - 1 - j) / 8 + 1
-        } else {
-            0
-        };
-        let blocks = if gated { real_blocks } else { cb_n };
-        let nprod = (blocks * g.r * g.s) as i64;
-        let mut k = m;
-        while k < g.k {
-            for oy in 0..g.oh {
-                for ox in 0..g.ow {
-                    let mut lanesum = 0i64;
-                    let mut c = j;
-                    while c < g.input.c {
-                        for r in 0..g.r {
-                            for s in 0..g.s {
-                                let iy = (oy * g.stride + r) as isize - g.pad as isize;
-                                let ix = (ox * g.stride + s) as isize - g.pad as isize;
-                                if iy >= 0 && ix >= 0 && iy < h as isize && ix < w as isize {
-                                    lanesum +=
-                                        i64::from(input[(c * h + iy as usize) * w + ix as usize])
-                                            * i64::from(weights.at(k, c, r, s));
-                                }
-                            }
-                        }
-                        c += 8;
-                    }
-                    let corr = (v * nprod - lanesum) as i32;
-                    let slot = &mut acc[k * row_stride + col_off + oy * g.ow + ox];
-                    *slot = slot.wrapping_add(corr);
+    g: &'a ConvGeom,
+    /// Dense `K x C*R*S` weights.
+    weights: &'a [i8],
+    /// The batched `C*R*S x (b_n * OH*OW)` im2col matrix.
+    cols: &'a [i8],
+    b_n: usize,
+}
+
+impl LaneDelta<'_> {
+    /// Adds the delta of every lane in `lanes` over the op-local products
+    /// `armed` to the `K x (b_n * OH*OW)` accumulators.
+    fn add_into(&self, lanes: impl Iterator<Item = MultId>, armed: Range<usize>, acc: &mut [i32]) {
+        let q_n = self.g.input.c.div_ceil(8) * self.g.r * self.g.s;
+        let per_kg = self.g.oh * self.g.ow * q_n;
+        for lane in lanes {
+            let j = usize::from(lane.mult);
+            for k in (usize::from(lane.mac)..self.g.k).step_by(8) {
+                let base = k / 8 * per_kg;
+                let lo = armed.start.clamp(base, base + per_kg) - base;
+                let hi = armed.end.clamp(base, base + per_kg) - base;
+                if lo >= hi {
+                    continue;
+                }
+                let (p0, q0) = (lo / q_n, lo % q_n);
+                let (p1, q1) = (hi / q_n, hi % q_n);
+                if p0 == p1 {
+                    self.add_partial(acc, k, j, p0, q0..q1);
+                    continue;
+                }
+                let mut first_full = p0;
+                if q0 > 0 {
+                    self.add_partial(acc, k, j, p0, q0..q_n);
+                    first_full += 1;
+                }
+                self.add_pixels(acc, k, j, first_full..p1);
+                if q1 > 0 {
+                    self.add_partial(acc, k, j, p1, 0..q1);
                 }
             }
-            k += 8;
+        }
+    }
+
+    /// Adds lane `(k mod 8, j)`'s delta over every product of the output
+    /// pixels `pixels` of each image: one contiguous pass per im2col row.
+    fn add_pixels(&self, acc: &mut [i32], k: usize, j: usize, pixels: Range<usize>) {
+        if pixels.is_empty() {
+            return;
+        }
+        let (c_n, rs) = (self.g.input.c, self.g.r * self.g.s);
+        let n_cols = self.g.oh * self.g.ow;
+        let wide_n = self.b_n * n_cols;
+        let real_blocks = c_n.saturating_sub(j).div_ceil(8);
+        let idle = (c_n.div_ceil(8) - real_blocks) * rs;
+        // Whole images make one run of columns; otherwise one per image.
+        let whole = pixels.len() == n_cols;
+        let (runs, len) = if whole {
+            (1, wide_n)
+        } else {
+            (self.b_n, pixels.len())
+        };
+        for run in 0..runs {
+            let col0 = if whole {
+                0
+            } else {
+                run * n_cols + pixels.start
+            };
+            let a = &mut acc[k * wide_n + col0..][..len];
+            for cb in 0..real_blocks {
+                for t in 0..rs {
+                    let row = (cb * 8 + j) * rs + t;
+                    let w = i32::from(self.weights[k * c_n * rs + row]);
+                    let x = &self.cols[row * wide_n + col0..][..len];
+                    for (a, &x) in a.iter_mut().zip(x) {
+                        *a = a.wrapping_add(self.mux.delta(w * i32::from(x)));
+                    }
+                }
+            }
+            if idle > 0 && !self.gated {
+                let d = self.mux.delta(0).wrapping_mul(idle as i32);
+                for a in a.iter_mut() {
+                    *a = a.wrapping_add(d);
+                }
+            }
+        }
+    }
+
+    /// Adds lane `(k mod 8, j)`'s delta over the products `qs`
+    /// (`q = cb * R*S + r * S + s`) of output pixel `pix` of each image.
+    fn add_partial(&self, acc: &mut [i32], k: usize, j: usize, pix: usize, qs: Range<usize>) {
+        let (c_n, rs) = (self.g.input.c, self.g.r * self.g.s);
+        let n_cols = self.g.oh * self.g.ow;
+        let wide_n = self.b_n * n_cols;
+        for b in 0..self.b_n {
+            let col = b * n_cols + pix;
+            let mut d = 0i32;
+            for q in qs.clone() {
+                let c = q / rs * 8 + j;
+                if c < c_n {
+                    let row = c * rs + q % rs;
+                    let p = i32::from(self.weights[k * c_n * rs + row])
+                        * i32::from(self.cols[row * wide_n + col]);
+                    d = d.wrapping_add(self.mux.delta(p));
+                } else if !self.gated {
+                    d = d.wrapping_add(self.mux.delta(0));
+                }
+            }
+            acc[k * wide_n + col] = acc[k * wide_n + col].wrapping_add(d);
         }
     }
 }

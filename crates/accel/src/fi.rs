@@ -24,8 +24,7 @@ pub enum FaultKind {
     /// Bit-flip fault: the wires in `mask` are inverted (XOR) after the
     /// override mux. This is an extension beyond the paper's stuck-at /
     /// constant models — its Sec. II notes "other fault models can easily
-    /// be incorporated"; flips are data-dependent, so only the exact
-    /// engine supports them.
+    /// be incorporated".
     FlipBits {
         /// Which of the 18 wires are inverted.
         mask: u32,
@@ -42,14 +41,6 @@ impl FaultKind {
             FaultKind::StuckBits { fsel, fdata } => (fsel & I18::MASK, fdata & I18::MASK, 0),
             FaultKind::FlipBits { mask } => (0, 0, mask & I18::MASK),
         }
-    }
-
-    /// Whether the fault overrides all 18 wires with constants (the class
-    /// the fast execution path supports).
-    #[must_use]
-    pub fn is_full_override(self) -> bool {
-        let (fsel, _, xor) = self.registers();
-        fsel == I18::MASK && xor == 0
     }
 
     /// Rejects fault kinds that are provable no-ops: after 18-bit register
@@ -143,7 +134,7 @@ pub struct FaultInjectorBank {
     pub xor: u32,
     /// Optional transient ("pulse") window in cycles: the injector is only
     /// active while the engine's cycle counter lies in this range. `None`
-    /// means a permanent fault. Only honoured by `ExecMode::Exact`.
+    /// means a permanent fault. Honoured by every execution mode.
     pub window: Option<Range<u64>>,
 }
 
@@ -160,26 +151,28 @@ impl FaultInjectorBank {
         self.enabled && self.sel != 0 && (self.fsel | self.xor) & I18::MASK != 0
     }
 
-    /// Whether the configured fault overrides all 18 wires with constants
-    /// (no data-dependent flips) — the class the fast path can express.
-    #[must_use]
-    pub fn is_full_override(&self) -> bool {
-        self.fsel & I18::MASK == I18::MASK && self.xor & I18::MASK == 0
+    /// Lanes currently selected, in lane order.
+    pub fn selected_lanes(&self) -> impl Iterator<Item = MultId> {
+        let mut sel = self.sel;
+        std::iter::from_fn(move || {
+            if sel == 0 {
+                return None;
+            }
+            let lane = sel.trailing_zeros() as usize;
+            sel &= sel - 1;
+            Some(MultId::from_lane(lane))
+        })
     }
 
-    /// The forced lane value (only meaningful for full overrides).
+    /// The mux and XOR of a selected lane as 18-bit masks (see [`LaneMux`]).
     #[must_use]
-    pub fn forced_value(&self) -> i32 {
-        I18::from_bits(self.fdata).value()
-    }
-
-    /// Lanes currently selected.
-    #[must_use]
-    pub fn selected_lanes(&self) -> Vec<MultId> {
-        (0..regmap::TOTAL_MULTS)
-            .filter(|&l| self.sel & (1 << l) != 0)
-            .map(MultId::from_lane)
-            .collect()
+    pub(crate) fn lane_mux(&self) -> LaneMux {
+        let fsel = self.fsel & I18::MASK;
+        LaneMux {
+            keep: !fsel & I18::MASK,
+            set: self.fdata & fsel,
+            flip: self.xor & I18::MASK,
+        }
     }
 
     /// Applies the injector of `lane` to a product, honouring the enable and
@@ -238,6 +231,26 @@ impl FaultInjectorBank {
     }
 }
 
+/// What an armed, selected lane does to its product, precomputed as masks:
+/// `apply(p) = sext18(((p & keep) | set) ^ flip)` — the override mux, then
+/// the XOR. Every [`FaultKind`] is one such triple.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct LaneMux {
+    keep: u32,
+    set: u32,
+    flip: u32,
+}
+
+impl LaneMux {
+    /// `apply(p) - p`, wrapping: how much the lane's contribution to the
+    /// adder tree moves when product `p` passes through the armed mux.
+    #[inline(always)]
+    pub(crate) fn delta(self, p: i32) -> i32 {
+        let bits = ((p as u32 & self.keep) | self.set) ^ self.flip;
+        (((bits << 14) as i32) >> 14).wrapping_sub(p)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,9 +264,6 @@ mod tests {
             FaultKind::FlipBits { mask: 0b101 }.registers(),
             (0, 0, 0b101)
         );
-        assert!(FaultKind::Constant(5).is_full_override());
-        assert!(!FaultKind::StuckBits { fsel: 1, fdata: 1 }.is_full_override());
-        assert!(!FaultKind::FlipBits { mask: 1 }.is_full_override());
     }
 
     #[test]
@@ -316,7 +326,42 @@ mod tests {
         }
         assert!(bank.enabled);
         assert_eq!(bank.sel, (1 << 0) | (1 << 63) | (1 << 33));
-        assert_eq!(bank.selected_lanes().len(), 3);
+        let lanes: Vec<MultId> = bank.selected_lanes().collect();
+        assert_eq!(
+            lanes,
+            vec![MultId::new(0, 0), MultId::new(4, 1), MultId::new(7, 7)]
+        );
+    }
+
+    #[test]
+    fn lane_mux_delta_matches_apply() {
+        let kinds = [
+            FaultKind::StuckAtZero,
+            FaultKind::Constant(-1),
+            FaultKind::Constant(131071),
+            FaultKind::StuckBits {
+                fsel: 1 << 17,
+                fdata: 1 << 17,
+            },
+            FaultKind::StuckBits {
+                fsel: 0b1010_0110,
+                fdata: 0b1000_0100,
+            },
+            FaultKind::FlipBits { mask: 1 << 16 },
+            FaultKind::FlipBits { mask: 0x2_A5A5 },
+        ];
+        for kind in kinds {
+            let mut bank = FaultInjectorBank::new();
+            bank.enabled = true;
+            bank.sel = 1;
+            (bank.fsel, bank.fdata, bank.xor) = kind.registers();
+            let mux = bank.lane_mux();
+            // Every value an i8 x i8 product can take.
+            for p in -16256..=16384 {
+                let want = bank.apply(0, I18::new(p), 0).value().wrapping_sub(p);
+                assert_eq!(mux.delta(p), want, "{kind:?} product {p}");
+            }
+        }
     }
 
     #[test]

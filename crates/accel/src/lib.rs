@@ -23,33 +23,34 @@
 //! * **DRAM**: a byte-addressable memory holding packed feature surfaces
 //!   and weights ([`dram`]), with access counters for the performance model.
 //!
-//! # Execution modes and the op-scoped pipeline
+//! # Execution modes and the lane-sparse fault delta
 //!
+//! * [`ExecMode::Auto`] (default) is the one execution path. Every conv and
+//!   linear op computes the clean batched im2col + GEMM, then adds the
+//!   fault delta `Σ (apply(p) − p)` over the **selected lanes only**, and
+//!   only over the products whose cycle falls inside the transient window
+//!   ([`Accelerator::set_fault_window`]). Each plan op owns a fixed
+//!   per-inference MAC-cycle span (`ExecutionPlan::mac_cycle_spans`, cached
+//!   on the device at plan-load time) and its products retire in a
+//!   closed-form order (kernel group → output pixel → channel block → tap),
+//!   so a window maps to one contiguous product range per op. The injector
+//!   mux and XOR are precomputed as 18-bit masks, so every fault kind —
+//!   full overrides, [`FaultKind::StuckBits`], [`FaultKind::FlipBits`] —
+//!   takes the same path. The idle-lane rules are the exact engine's:
+//!   kernel-tail MACs are discarded, idle lanes and padded taps contribute
+//!   `apply(0)` under [`IdleLanePolicy::ZeroFed`], and gated idle lanes
+//!   contribute nothing. i32 accumulation wraps, so the result equals the
+//!   per-product engine bit for bit.
 //! * [`ExecMode::Exact`] pushes every single product through the injector
-//!   muxes in the CMAC's atomic-op schedule — the ground truth, and the
-//!   only engine that can honour **bit-granular** faults
-//!   ([`FaultKind::StuckBits`], [`FaultKind::FlipBits`]) and **transient
-//!   windows** ([`Accelerator::set_fault_window`]), because both depend on
-//!   per-product values and cycle numbers.
-//! * [`ExecMode::Fast`] computes the clean convolution with im2col + GEMM
-//!   and applies an algebraically identical correction per faulted lane
-//!   (`forced_value * #products - clean_lane_sum`). Valid only for
-//!   permanent full-lane overrides (the paper's 0 / +1 / -1 experiments);
-//!   anything else returns [`AccelError::FastPathUnsupported`] — a
-//!   transient window already at [`Accelerator::set_fault_window`] time.
-//!   The two engines are property-tested bit-equal on their shared domain.
-//! * [`ExecMode::Auto`] (default) resolves **per op**, not per inference.
-//!   Each plan op owns a fixed per-inference MAC-cycle span
-//!   (`ExecutionPlan::mac_cycle_spans`, cached on the device at plan-load
-//!   time), so under a transient window the pipeline is *op-scoped*: ops
-//!   whose span ends before the window run the fast register-tiled path
-//!   (bit-identical when no fault is active), ops intersecting the window
-//!   run exact with injection armed, and ops after the window drop back to
-//!   the fast path on the (tainted) intermediate activations. Permanent
-//!   bit-granular faults still run full-inference exact; permanent
-//!   full-lane overrides run fast-with-corrections everywhere. Window
-//!   placement equivalence against all-exact is tested exhaustively in
-//!   `tests/equivalence.rs`.
+//!   muxes in the CMAC's atomic-op schedule — the reference engine. It
+//!   exists as the oracle: the property tests in `tests/proptests.rs` and
+//!   `tests/equivalence.rs` (every fault kind, lane set, window placement
+//!   and batch size) compare [`ExecMode::Auto`] against it.
+//!
+//! The per-image entry points ([`Accelerator::run_inference_i8_view`] and
+//! the prefix/suffix pair below) stage each op's surfaces through DRAM
+//! around the same batched executors with a batch of one, so DRAM holds
+//! every intermediate surface after a per-image run.
 //!
 //! The fault-free prefix of a windowed inference is also *restorable*:
 //! [`Accelerator::run_prefix_i8_view`] runs ops `0..b` and leaves DRAM in

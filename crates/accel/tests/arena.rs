@@ -3,7 +3,7 @@
 //! 1. **weight-arena invalidation** — `dma_write` / `flip_dram_bit` into a
 //!    weight region followed by `run_inference_i8` matches a cold (freshly
 //!    assembled, no warm arena) device bit-exactly;
-//! 2. **fast-path + corrections with a warm arena** still equals the exact
+//! 2. **the lane-delta path with a warm arena** still equals the exact
 //!    engine for full-override faults;
 //! 3. **batched execution** (`run_batch_i8` / `classify_batch`) is
 //!    bit-identical to the per-image path, with and without faults.
@@ -160,14 +160,14 @@ proptest! {
         prop_assert_eq!(warm_logits, cold_logits);
     }
 
-    /// Fast path + corrections with a warm arena equals the exact engine
-    /// (the arena must not change fault semantics).
+    /// The clean GEMM plus lane delta with a warm arena equals the exact
+    /// engine (the arena must not change fault semantics).
     #[test]
     fn warm_arena_fast_corrections_equal_exact((model, images, targets, value, _) in case()) {
         let img = model.quantize_input(&images.slice_image(0));
         let fault = FaultConfig::new(targets, FaultKind::Constant(value));
 
-        let mut fast = device(&model, ExecMode::Fast);
+        let mut fast = device(&model, ExecMode::Auto);
         let _ = fast.run_inference_i8(&img).unwrap(); // warm
         fast.inject(&fault);
         let fast_logits = fast.run_inference_i8(&img).unwrap().logits;
@@ -179,8 +179,8 @@ proptest! {
         prop_assert_eq!(fast_logits, exact_logits);
     }
 
-    /// The batched fast path is bit-identical to the per-image path, clean
-    /// and faulted.
+    /// The batched path is bit-identical to the per-image path, clean and
+    /// faulted.
     #[test]
     fn batched_execution_matches_per_image((model, images, targets, value, _) in case()) {
         let qimgs = model.quantize_input(&images);

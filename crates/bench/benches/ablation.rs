@@ -1,6 +1,7 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * `Fast` vs `Exact` fault execution (the reason campaigns are feasible);
+//! * `Auto` (clean GEMM plus lane delta) vs `Exact` fault execution (the
+//!   reason campaigns are feasible);
 //! * idle-lane policy (ZeroFed vs Gated) — functional policy, identical
 //!   cost expected;
 //! * im2col+GEMM vs naive direct convolution;
@@ -22,7 +23,7 @@ fn bench_fast_vs_exact(c: &mut Criterion) {
     let fault = FaultConfig::new(vec![MultId::new(0, 0)], FaultKind::StuckAtZero);
     let mut g = c.benchmark_group("ablation_fi_exec_mode");
     g.sample_size(10);
-    for (label, mode) in [("fast", ExecMode::Fast), ("exact", ExecMode::Exact)] {
+    for (label, mode) in [("auto", ExecMode::Auto), ("exact", ExecMode::Exact)] {
         let cfg = PlatformConfig {
             accel: AccelConfig {
                 mode,

@@ -15,7 +15,7 @@ pub struct PlatformConfig {
     pub accel: AccelConfig,
     /// Shard granularity of a [`crate::pool::DevicePool`]: the minimum
     /// number of images per device shard when one evaluation batch is split
-    /// across pool members. `0` (the default) means one fast-path mini-batch
+    /// across pool members. `0` (the default) means one host mini-batch
     /// ([`AccelConfig::batch`]), so a shard never truncates a mini-batch.
     /// Purely a scheduling knob — merged predictions are bit-identical for
     /// every value.

@@ -397,9 +397,9 @@ impl DevicePool {
     /// # Errors
     ///
     /// Propagates the engine's window validation
-    /// ([`nvfi_accel::Accelerator::set_fault_window`]): `ExecMode::Fast`
-    /// devices reject windows outright, and a window that cannot overlap
-    /// any MAC cycle of the loaded plan is rejected as a silent no-op.
+    /// ([`nvfi_accel::Accelerator::set_fault_window`]): a window that
+    /// cannot overlap any MAC cycle of the loaded plan is rejected as a
+    /// silent no-op.
     pub fn set_fault_window(&mut self, window: Option<Range<u64>>) -> Result<(), PlatformError> {
         for d in &mut self.devices {
             d.accel_mut().set_fault_window(window.clone())?;
@@ -408,7 +408,7 @@ impl DevicePool {
     }
 
     /// The shard granularity a pool under `config` uses: an explicit
-    /// [`PlatformConfig::shard_images`], else one fast-path mini-batch.
+    /// [`PlatformConfig::shard_images`], else one host mini-batch.
     #[must_use]
     pub fn granularity(config: &PlatformConfig) -> usize {
         match config.shard_images {
@@ -591,7 +591,8 @@ impl DevicePool {
     /// thread per device, merged in image order); the cache is shared
     /// read-only across the shard threads. Images outside the cache's byte
     /// budget — or all of them, when `cache` is `None` — run the full
-    /// op-scoped inference (fast prefix, exact window ops, fast suffix).
+    /// inference, in which only the ops the window intersects add a fault
+    /// delta to their clean GEMM.
     /// Predictions are bit-identical to [`DevicePool::classify_i8`] for
     /// every cache budget (asserted by `tests/campaign_determinism.rs`).
     ///

@@ -168,8 +168,8 @@ pub struct WireSpan {
 }
 
 /// The platform configuration as it travels on the wire — what a worker
-/// needs to clone the coordinator's device exactly (fast/exact execution
-/// mode included: an `ExecMode::Exact` campaign must stay exact remotely).
+/// needs to clone the coordinator's device exactly (execution mode
+/// included: an `ExecMode::Exact` campaign must stay exact remotely).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WireConfig {
     /// Functional execution mode (`ExecMode` as a tag byte).
@@ -180,7 +180,7 @@ pub struct WireConfig {
     pub clock_hz: f64,
     /// Emulated DRAM capacity in bytes.
     pub dram_capacity: u64,
-    /// Fast-path mini-batch.
+    /// Host mini-batch (`AccelConfig::batch`).
     pub batch: u64,
     /// Device-pool shard granularity in images.
     pub shard_images: u64,
@@ -861,10 +861,11 @@ pub fn shard_attestation(
     h.finish()
 }
 
+/// Execution-mode tags. Tag 1 belonged to a retired `Fast` mode and now
+/// decodes as unknown.
 pub(crate) fn mode_tag(m: ExecMode) -> u8 {
     match m {
         ExecMode::Exact => 0,
-        ExecMode::Fast => 1,
         ExecMode::Auto => 2,
     }
 }
@@ -872,7 +873,6 @@ pub(crate) fn mode_tag(m: ExecMode) -> u8 {
 fn mode_from_tag(t: u8) -> Result<ExecMode, WireError> {
     match t {
         0 => Ok(ExecMode::Exact),
-        1 => Ok(ExecMode::Fast),
         2 => Ok(ExecMode::Auto),
         t => Err(WireError::BadTag {
             what: "exec mode",
@@ -1284,6 +1284,29 @@ mod tests {
         assert_eq!(
             Msg::decode(e.into_vec()),
             Err(WireError::Invalid("zero worker ident"))
+        );
+    }
+
+    #[test]
+    fn retired_fast_mode_tag_is_rejected() {
+        let mut payload = Msg::Plan {
+            config: WireConfig::from(PlatformConfig::default()),
+            local_devices: 1,
+            words: Vec::new(),
+        }
+        .encode();
+        assert_eq!(
+            payload[1],
+            mode_tag(ExecMode::Auto),
+            "mode byte follows the tag"
+        );
+        payload[1] = 1;
+        assert_eq!(
+            Msg::decode(payload),
+            Err(WireError::BadTag {
+                what: "exec mode",
+                tag: 1
+            })
         );
     }
 

@@ -139,9 +139,9 @@ fn transient_window_campaign_is_shard_invariant() {
         kinds: vec![FaultKind::Constant(131071)],
         eval_images: 10,
         threads,
-        // A mid-inference pulse: forces the exact engine (the fast path
-        // cannot honour windows), so this drives the batched-classify
-        // degradation end-to-end through Campaign::run.
+        // A mid-inference pulse: only the ops it intersects add a lane
+        // delta, so this drives windowed batched classification
+        // end-to-end through Campaign::run.
         fault_window: Some(50..5_000),
         ..Default::default()
     };

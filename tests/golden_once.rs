@@ -5,6 +5,10 @@
 //! its work list expands to — and every windowed work item *restores* the
 //! checkpoint instead of recomputing the prefix.
 //!
+//! The same run pins the engine's path counters: a windowed `Auto`
+//! campaign adds lane deltas to the clean GEMM and never reaches the
+//! per-product reference engine.
+//!
 //! The probe counters are process-wide, so this test lives in its own
 //! integration-test binary (cargo runs test binaries one at a time): no
 //! concurrently running test can capture or restore in between the counter
@@ -15,6 +19,8 @@ use zynq_nvdla_fi::nvfi::{EmulationPlatform, PlatformConfig};
 use zynq_nvdla_fi::nvfi_accel::{golden_prefix_passes, golden_restores, FaultKind};
 use zynq_nvdla_fi::nvfi_compiler::regmap::MultId;
 use zynq_nvdla_fi::nvfi_dataset::{SynthCifar, SynthCifarConfig};
+
+use nvfi_obs::metrics;
 
 #[test]
 fn campaign_computes_the_golden_prefix_exactly_once_per_image() {
@@ -58,9 +64,21 @@ fn campaign_computes_the_golden_prefix_exactly_once_per_image() {
     };
     let campaign = Campaign::new(&q, PlatformConfig::default());
 
+    let path = |name: &str| metrics::counter(name).get();
+    let exact_before = path("engine_path_exact");
+    let delta_before = path("engine_path_fast_corrected");
     let prefix_before = golden_prefix_passes();
     let restore_before = golden_restores();
     let result = campaign.run(&spec, &data.test).unwrap();
+    assert_eq!(
+        path("engine_path_exact") - exact_before,
+        0,
+        "a windowed Auto campaign must never run the reference engine"
+    );
+    assert!(
+        path("engine_path_fast_corrected") > delta_before,
+        "the window's ops must add a lane delta to the clean GEMM"
+    );
     assert_eq!(result.records.len(), 3);
     assert_eq!(result.total_inferences, 4 * 10);
     assert_eq!(
