@@ -24,10 +24,8 @@
 //!   side by side, plus the lane-sparse fault delta. Per-column
 //!   independence makes the batched result bit-identical to the per-image
 //!   path; intermediate surfaces live in the scratch arena rather than DRAM
-//!   (DRAM access counters therefore account weights once per arena fill,
-//!   and intermediate traffic only on the per-image path, which stages each
-//!   op's surfaces through DRAM around the same executors with a batch of
-//!   one).
+//!   (only the per-image path stages each op's surfaces through DRAM,
+//!   around the same executors with a batch of one).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -1506,5 +1504,46 @@ fn pool_into(op: &PoolOp, input: &[i8], out: &mut [i8]) {
                 out[c] = sat::to_i8(i64::from(pool::rounded_div(sum, area)));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nvfi_dataset::{SynthCifar, SynthCifarConfig};
+    use nvfi_nn::fold::fold_resnet;
+    use nvfi_nn::resnet::ResNet;
+    use nvfi_quant::{quantize, QuantConfig};
+
+    /// A device holds no more DRAM than its plan's footprint, after
+    /// `load_plan` and after a per-image run that stages every surface
+    /// through DRAM; a clone holds the same bytes.
+    #[test]
+    fn device_holds_only_the_plan_footprint() {
+        let data = SynthCifar::new(SynthCifarConfig {
+            train: 16,
+            test: 1,
+            ..Default::default()
+        })
+        .generate();
+        let deploy = fold_resnet(&ResNet::new(4, &[1, 1], 10, 42), 32);
+        let q = quantize(&deploy, &data.train.images, &QuantConfig::default()).unwrap();
+        let plan = nvfi_compiler::compile(&q, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY).unwrap();
+        let footprint = usize::try_from(plan.dram_size).unwrap();
+
+        let mut accel = Accelerator::new(AccelConfig::default());
+        assert_eq!(accel.dram.held_len(), 0);
+        accel.load_plan(&plan).unwrap();
+        assert!(accel.dram.held_len() > 0, "weights are written at load");
+        assert!(
+            accel.dram.held_len() <= footprint,
+            "held {} > plan footprint {footprint}",
+            accel.dram.held_len()
+        );
+        accel
+            .run_inference(&data.test.images.slice_image(0))
+            .unwrap();
+        assert!(accel.dram.held_len() <= footprint);
+        assert_eq!(accel.clone().dram.held_len(), accel.dram.held_len());
     }
 }

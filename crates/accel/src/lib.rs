@@ -21,7 +21,9 @@
 //!   requantization / optional residual add / ReLU (shared, bit-exact code
 //!   with the CPU reference in `nvfi-quant`), and pooling.
 //! * **DRAM**: a byte-addressable memory holding packed feature surfaces
-//!   and weights ([`dram`]), with access counters for the performance model.
+//!   and weights ([`dram`]). Its capacity is a logical bound; the host holds
+//!   only the bytes up to the highest one written, so a device clone copies
+//!   the plan footprint rather than the whole capacity.
 //!
 //! # Execution modes and the lane-sparse fault delta
 //!
@@ -89,8 +91,8 @@
 //! results are bit-identical to the per-image path, but DRAM is only
 //! touched for weight-arena refills and one final logits write per
 //! mini-batch (the last image's, for parity with per-image runs), so
-//! access counters and `dma_read` of surface addresses reflect per-image
-//! traffic only when `batch == 1`.
+//! `dma_read` of surface addresses reflects per-image traffic only when
+//! `batch == 1`.
 //!
 //! # Examples
 //!

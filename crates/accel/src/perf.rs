@@ -42,7 +42,9 @@ pub struct AccelConfig {
     pub idle_lanes: crate::engine::IdleLanePolicy,
     /// Core clock in Hz.
     pub clock_hz: f64,
-    /// Emulated DRAM capacity in bytes.
+    /// Emulated DRAM capacity in bytes: a logical bound that plans and DRAM
+    /// accesses are checked against, not an allocation. The device holds
+    /// only the bytes up to the highest one written.
     pub dram_capacity: u64,
     /// Host-side mini-batch for `classify_batch`: how many images share one
     /// im2col + GEMM pass on the fast path. Purely a host-emulation

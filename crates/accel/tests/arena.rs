@@ -6,7 +6,9 @@
 //! 2. **the lane-delta path with a warm arena** still equals the exact
 //!    engine for full-override faults;
 //! 3. **batched execution** (`run_batch_i8` / `classify_batch`) is
-//!    bit-identical to the per-image path, with and without faults.
+//!    bit-identical to the per-image path, with and without faults;
+//! 4. **device clones are independent** — a weight-memory SEU in a clone
+//!    never reaches the device it was cloned from, nor the reverse.
 
 use nvfi_accel::{AccelConfig, Accelerator, ExecMode, FaultConfig, FaultKind, IdleLanePolicy};
 use nvfi_compiler::regmap::MultId;
@@ -202,6 +204,37 @@ proptest! {
                 .map(|r| r.logits)
                 .collect();
             prop_assert_eq!(&got, &want, "fault: {:?}", fault);
+        }
+    }
+
+    /// A `flip_dram_bit` into a weight byte of one of two clones leaves the
+    /// other's DRAM byte and logits unchanged, whichever side is flipped.
+    #[test]
+    fn clones_are_independent((model, images, _, _, seed) in case()) {
+        let (w_addr, w_len) = weight_region(&model);
+        let flip_at = w_addr + seed % w_len;
+        let bit = (seed % 8) as u8;
+        let qimgs = model.quantize_input(&images);
+        let logits = |d: &mut Accelerator| -> Vec<Vec<i32>> {
+            (0..qimgs.shape().n)
+                .map(|n| d.run_inference_i8(&qimgs.slice_image(n)).unwrap().logits)
+                .collect()
+        };
+        for flip_the_clone in [true, false] {
+            // The original's weight arena is warm when it is cloned.
+            let mut original = device(&model, ExecMode::Auto);
+            let want = logits(&mut original);
+            let byte = original.dma_read(flip_at, 1).unwrap();
+            let mut clone = original.clone();
+            let (flipped, untouched) = if flip_the_clone {
+                (&mut clone, &mut original)
+            } else {
+                (&mut original, &mut clone)
+            };
+            flipped.flip_dram_bit(flip_at, bit).unwrap();
+            prop_assert_ne!(&flipped.dma_read(flip_at, 1).unwrap(), &byte);
+            prop_assert_eq!(&untouched.dma_read(flip_at, 1).unwrap(), &byte);
+            prop_assert_eq!(logits(untouched), want);
         }
     }
 

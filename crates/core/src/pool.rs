@@ -302,7 +302,8 @@ pub struct DevicePool {
 impl DevicePool {
     /// Compiles `model` once and populates the pool with `devices` clones of
     /// the programmed device (cloning device state is much cheaper than
-    /// recompiling the plan per member).
+    /// recompiling the plan per member: a clone copies only the DRAM bytes
+    /// the plan footprint touched, not the logical DRAM capacity).
     ///
     /// # Errors
     ///
@@ -324,6 +325,8 @@ impl DevicePool {
     }
 
     /// Builds a pool of `devices` members by cloning one programmed device.
+    /// Each clone copies only the DRAM bytes the plan footprint touched, not
+    /// the logical DRAM capacity.
     ///
     /// # Panics
     ///
