@@ -479,6 +479,14 @@ impl Accelerator {
         self.csb.fi = FaultInjectorBank::new();
     }
 
+    /// Whether a run could differ from the golden one: an injector is
+    /// active ([`FaultInjectorBank::any_active`]) or a transient window is
+    /// armed. Golden-prefix captures refuse such a device.
+    #[must_use]
+    pub fn faults_armed(&self) -> bool {
+        self.csb.fi.any_active() || self.csb.fi.window.is_some()
+    }
+
     /// Restricts injection to a cycle window (a transient / "pulse" fault).
     /// Under [`ExecMode::Auto`] the window maps to one contiguous range of
     /// each op's products, and only the selected lanes' products in that
@@ -674,6 +682,53 @@ impl Accelerator {
         self.exec_ops(&plan, 0, boundary)?;
         golden_prefix_counter().inc();
         Ok(())
+    }
+
+    /// [`Accelerator::run_prefix_i8_view`], then appends the bytes of the
+    /// boundary's live-in `surfaces` to `out`, back to back in order — one
+    /// golden-prefix capture, in the layout
+    /// [`Accelerator::run_suffix_i8_view`] restores.
+    ///
+    /// # Errors
+    ///
+    /// As [`Accelerator::run_prefix_i8_view`], plus
+    /// [`AccelError::DramOutOfBounds`] for a surface outside DRAM.
+    pub fn capture_prefix_i8_view(
+        &mut self,
+        image: &[i8],
+        boundary: usize,
+        surfaces: &[(u64, u64)],
+        out: &mut Vec<i8>,
+    ) -> Result<(), AccelError> {
+        self.run_prefix_i8_view(image, boundary)?;
+        for &(addr, bytes) in surfaces {
+            self.dram.read_i8_into(addr, bytes, &mut self.scratch.dma)?;
+            out.extend_from_slice(&self.scratch.dma);
+        }
+        Ok(())
+    }
+
+    /// One full inference that captures on its way:
+    /// [`Accelerator::capture_prefix_i8_view`] at `boundary`, then the
+    /// suffix `ops[boundary..]` continues from the live DRAM state. The
+    /// result is bit-identical to [`Accelerator::run_inference_i8_view`];
+    /// the run counts one [`golden_prefix_passes`] and no
+    /// [`golden_restores`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Accelerator::capture_prefix_i8_view`].
+    pub fn run_inference_capture_i8_view(
+        &mut self,
+        image: &[i8],
+        boundary: usize,
+        surfaces: &[(u64, u64)],
+        out: &mut Vec<i8>,
+    ) -> Result<InferenceResult, AccelError> {
+        let plan = self.plan.clone().ok_or(AccelError::NoPlan)?;
+        self.capture_prefix_i8_view(image, boundary, surfaces, out)?;
+        self.exec_ops(&plan, boundary, plan.ops.len())?;
+        self.read_result(&plan)
     }
 
     /// Runs the plan's suffix `ops[boundary..]` from a restored golden

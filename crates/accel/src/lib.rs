@@ -59,10 +59,13 @@
 //! the boundary state, and [`Accelerator::run_suffix_i8_view`] re-seeds the
 //! boundary's live-in surfaces (`ExecutionPlan::live_in_surfaces`) plus the
 //! prefix cycle count and runs ops `b..` — bit-identical to the full run.
-//! Fault-injection campaigns build a campaign-lifetime golden-prefix
-//! activation cache on top of this pair (`nvfi::GoldenActivationCache`),
-//! capturing each image's prefix once (probed by [`golden_prefix_passes`])
-//! and restoring it for every windowed work item ([`golden_restores`]).
+//! [`Accelerator::capture_prefix_i8_view`] copies those surfaces out after
+//! the prefix, and [`Accelerator::run_inference_capture_i8_view`] does the
+//! same in the middle of a full fault-free run. Fault-injection campaigns
+//! build a campaign-lifetime golden-prefix activation cache on top of these
+//! (`nvfi::GoldenActivationCache`), capturing each image's prefix once
+//! (probed by [`golden_prefix_passes`]) and restoring it for every windowed
+//! work item ([`golden_restores`]).
 //!
 //! # Weight-arena lifecycle
 //!

@@ -596,6 +596,36 @@ fn golden_prefix_restore_is_bit_identical() {
     }
 }
 
+/// A capturing full run is the plain run plus a copy: its logits and
+/// retired cycles match `run_inference_i8_view`, and the bytes it copies at
+/// the boundary match a prefix-only capture, at every op boundary.
+#[test]
+fn capturing_run_matches_plain_run_and_prefix_capture() {
+    let (q, data) = build_model(4, 67);
+    let plan = nvfi_compiler::compile(&q, nvfi_compiler::lower::DEFAULT_DRAM_CAPACITY).unwrap();
+    let img = q.quantize_input(&data.test.images.slice_image(0));
+    let mut plain = accel_with(&q, ExecMode::Auto, IdleLanePolicy::ZeroFed);
+    let want = plain.run_inference_i8_view(img.as_slice()).unwrap();
+    let mut fused = accel_with(&q, ExecMode::Auto, IdleLanePolicy::ZeroFed);
+    let mut prefix_only = accel_with(&q, ExecMode::Auto, IdleLanePolicy::ZeroFed);
+    for boundary in 1..=plan.ops.len() {
+        let surfaces = plan.live_in_surfaces(boundary);
+        let mut got_bytes = Vec::new();
+        let got = fused
+            .run_inference_capture_i8_view(img.as_slice(), boundary, &surfaces, &mut got_bytes)
+            .unwrap();
+        assert_eq!(want.logits, got.logits, "boundary {boundary}");
+        assert_eq!(plain.mac_cycles_retired(), fused.mac_cycles_retired());
+        let mut want_bytes = Vec::new();
+        prefix_only
+            .capture_prefix_i8_view(img.as_slice(), boundary, &surfaces, &mut want_bytes)
+            .unwrap();
+        assert_eq!(want_bytes, got_bytes, "boundary {boundary}");
+        let stride: u64 = surfaces.iter().map(|&(_, b)| b).sum();
+        assert_eq!(got_bytes.len() as u64, stride);
+    }
+}
+
 #[test]
 fn plan_via_command_fifo_matches_direct_load() {
     let (q, data) = build_model(4, 37);

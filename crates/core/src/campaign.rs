@@ -39,7 +39,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::platform::{EmulationPlatform, PlatformConfig, PlatformError};
-use crate::pool::{DevicePool, GoldenActivationCache, QuantizedEvalSet};
+use crate::pool::{DevicePool, QuantizedEvalSet};
 
 pub use nvfi_compiler::verify::VerifyMode;
 
@@ -91,9 +91,10 @@ pub struct CampaignSpec {
     /// applied alongside every injected fault configuration. Only the plan
     /// ops whose MAC-cycle span intersects the window add a fault delta to
     /// their clean GEMM; the fault-free prefix is restored from a
-    /// campaign-lifetime [`GoldenActivationCache`] (see
+    /// campaign-lifetime [`crate::GoldenActivationCache`] (see
     /// [`CampaignSpec::golden_cache_bytes`]). The baseline pass stays
-    /// fault- and window-free. Validated against the compiled plan up
+    /// fault- and window-free and captures that cache on its way
+    /// ([`DevicePool::baseline`]). Validated against the compiled plan up
     /// front: a window that cannot overlap any retired MAC cycle is
     /// rejected instead of silently running a fault-free campaign.
     pub fault_window: Option<Range<u64>>,
@@ -448,7 +449,9 @@ impl Campaign {
     /// `(targets, kind)` work list, and — whenever the work list is narrower
     /// than `spec.threads` — inner sharding of each configuration's
     /// evaluation batch across the worker group's [`DevicePool`]. The
-    /// baseline pass runs through the full fleet the same way. Records,
+    /// baseline pass runs through the full fleet the same way, and for a
+    /// windowed campaign captures the golden-prefix cache in the same pass
+    /// ([`DevicePool::baseline`]). Records,
     /// `total_inferences` and record order are bit-identical to the
     /// single-device, single-threaded path for every `threads`,
     /// `pool_devices` and shard granularity.
@@ -518,13 +521,12 @@ impl Campaign {
             *size = (*size).min(max_shards);
         }
         let fleet_size: usize = layout.iter().sum();
-        // One prototype device first: it validates the transient window
-        // against the compiled plan and the execution mode *before* any
-        // work is scheduled (a window that cannot overlap any MAC cycle
-        // used to run a silent fault-free campaign at exact-engine cost),
-        // and — still fault-free — captures the golden-prefix activation
-        // cache windowed work items restore from.
-        let mut proto = EmulationPlatform::assemble(&self.model, self.config)?;
+        // One prototype device first: it runs the plan checks and validates
+        // the transient window *before* any work is scheduled (a window
+        // that cannot overlap any MAC cycle used to run a silent
+        // fault-free campaign at exact-engine cost), and is then cloned
+        // into the fleet.
+        let proto = EmulationPlatform::assemble(&self.model, self.config)?;
         // Static verification at plan load, then fault reachability: work
         // items the analysis proves masked never reach a device — their
         // records are synthesized from the fault-free predictions after the
@@ -553,22 +555,18 @@ impl Campaign {
                 work.len()
             ));
         }
-        let golden = match &spec.fault_window {
-            Some(w) => {
-                proto.accel().validate_fault_window(w)?;
-                let _s = trace::span("campaign.golden_build");
-                GoldenActivationCache::build(&mut proto, &qset, w, spec.golden_cache_bytes)?
-            }
-            None => None,
-        };
+        if let Some(w) = &spec.fault_window {
+            proto.accel().validate_fault_window(w)?;
+        }
         let mut fleet = DevicePool::from_device(proto, fleet_size);
 
         // Baseline through the same pool, sharded across the whole fleet:
-        // accuracy plus the fault-free predictions used for masked/SDC
-        // classification.
-        let clean_preds = {
+        // accuracy, the fault-free predictions used for masked/SDC
+        // classification and, for a windowed campaign, the golden-prefix
+        // cache its work items restore from — all from one pass.
+        let (clean_preds, golden) = {
             let _s = trace::span("campaign.baseline");
-            fleet.classify_i8(&qset)?
+            fleet.baseline(&qset, spec.fault_window.as_ref(), spec.golden_cache_bytes)?
         };
         let baseline_accuracy = prediction_accuracy(&clean_preds, &eval.labels);
 

@@ -33,10 +33,24 @@ use nvfi_tensor::{Shape4, Tensor};
 
 use crate::platform::{EmulationPlatform, PlatformConfig, PlatformError};
 
-/// Per-shard classification closure of the pool's shared shard/merge
-/// protocol: classifies one device's contiguous image range.
-type ShardFn<'a> =
-    dyn Fn(&mut EmulationPlatform, Range<usize>) -> Result<Vec<u8>, PlatformError> + Sync + 'a;
+/// Per-shard closure of the pool's shared shard/merge protocol: runs one
+/// device's contiguous image range and returns that shard's result.
+type ShardFn<'a, T> =
+    dyn Fn(&mut EmulationPlatform, Range<usize>) -> Result<T, PlatformError> + Sync + 'a;
+
+/// Refuses a golden capture on `device` while a run there could differ
+/// from the golden one (an active injector or an armed window): such a
+/// snapshot would silently corrupt every restore.
+fn require_fault_free(device: &EmulationPlatform) -> Result<(), PlatformError> {
+    if device.accel().faults_armed() {
+        return Err(PlatformError::Verify(
+            "golden-prefix capture needs a fault-free device: clear its \
+             injectors and transient window first"
+                .into(),
+        ));
+    }
+    Ok(())
+}
 
 /// A campaign-lifetime cache of golden (fault-free) activations at one op
 /// boundary — the state a transient-window work item needs to skip the
@@ -46,13 +60,19 @@ type ShardFn<'a> =
 /// MAC-cycle span intersects it; every op before the first such op computes
 /// exactly the same activations for every one of a campaign's thousands of
 /// windowed work items. The cache runs that prefix **once per image**
-/// ([`nvfi_accel::Accelerator::run_prefix_i8_view`], counted by the
+/// ([`nvfi_accel::Accelerator::capture_prefix_i8_view`], counted by the
 /// `nvfi_accel::golden_prefix_passes` probe), snapshots the boundary's
 /// live-in DRAM surfaces (`ExecutionPlan::live_in_surfaces` — every surface
 /// some suffix op reads before the suffix itself rewrites it, so aliasing
 /// allocators are handled), and work items restore those bytes instead of
 /// recomputing the prefix
 /// ([`nvfi_accel::Accelerator::run_suffix_i8_view`]).
+///
+/// An in-process campaign gets its cache from [`DevicePool::baseline`],
+/// which captures it during the sharded fault-free pass. The distributed
+/// coordinator and standalone callers use [`GoldenActivationCache::build`]
+/// on one device; a worker rebuilds a shipped cache with
+/// [`GoldenActivationCache::from_parts`].
 ///
 /// # Memory model
 ///
@@ -81,57 +101,71 @@ pub struct GoldenActivationCache {
 
 impl GoldenActivationCache {
     /// Captures golden-prefix checkpoints for `set` on `device`, for the
-    /// transient window `window`, within `budget_bytes`.
+    /// transient window `window`, within `budget_bytes`. Each cached image
+    /// runs its prefix only; no prediction comes out.
     ///
     /// Returns `Ok(None)` when a cache cannot help: the budget is `0`
     /// (disabled), the window first bites in op 0 (no prefix to skip), the
     /// window misses the plan entirely, or the budget cannot hold even one
-    /// image. The device must be **fault-free** — capture runs the fast
-    /// path, and the snapshot is only golden without programmed faults.
+    /// image.
     ///
     /// # Errors
     ///
-    /// Propagates device errors from the capture runs.
+    /// Returns [`PlatformError::Verify`] if `device` has an active injector
+    /// or an armed window (the snapshot would not be golden), and
+    /// propagates device errors from the capture runs.
     pub fn build(
         device: &mut EmulationPlatform,
         set: &QuantizedEvalSet,
         window: &Range<u64>,
         budget_bytes: usize,
     ) -> Result<Option<Self>, PlatformError> {
-        if budget_bytes == 0 {
-            return Ok(None);
-        }
-        let Some(boundary) = device.accel().first_op_in_window(window) else {
+        let Some(mut cache) = Self::layout(device, set.len(), window, budget_bytes) else {
             return Ok(None);
         };
-        if boundary == 0 {
-            return Ok(None);
+        require_fault_free(device)?;
+        cache.data.reserve_exact(cache.cached_images * cache.stride);
+        for i in 0..cache.cached_images {
+            device.accel_mut().capture_prefix_i8_view(
+                set.view(i..i + 1),
+                cache.boundary,
+                &cache.surfaces,
+                &mut cache.data,
+            )?;
         }
+        Ok(Some(cache))
+    }
+
+    /// The cache `device` would capture for the leading images of an
+    /// `images`-image set under `window` within `budget_bytes`, with no
+    /// bytes captured yet — `None` in the cases [`GoldenActivationCache::build`]
+    /// documents.
+    fn layout(
+        device: &EmulationPlatform,
+        images: usize,
+        window: &Range<u64>,
+        budget_bytes: usize,
+    ) -> Option<Self> {
+        if budget_bytes == 0 {
+            return None;
+        }
+        let boundary = device
+            .accel()
+            .first_op_in_window(window)
+            .filter(|&b| b > 0)?;
         let surfaces = device.plan().live_in_surfaces(boundary);
         let stride: usize = surfaces.iter().map(|&(_, b)| b as usize).sum();
         if stride == 0 {
-            return Ok(None);
+            return None;
         }
-        let cached_images = set.len().min(budget_bytes / stride);
-        if cached_images == 0 {
-            return Ok(None);
-        }
-        let mut data = Vec::with_capacity(cached_images * stride);
-        for i in 0..cached_images {
-            device
-                .accel_mut()
-                .run_prefix_i8_view(set.view(i..i + 1), boundary)?;
-            for &(addr, bytes) in &surfaces {
-                data.extend(device.accel_mut().dma_read(addr, bytes)?);
-            }
-        }
-        Ok(Some(GoldenActivationCache {
+        let cached_images = images.min(budget_bytes / stride);
+        (cached_images > 0).then_some(GoldenActivationCache {
             boundary,
             surfaces,
             stride,
-            data,
+            data: Vec::new(),
             cached_images,
-        }))
+        })
     }
 
     /// Reassembles a cache from its shipped parts — the receiving end of a
@@ -524,6 +558,73 @@ impl DevicePool {
         self.classify_sharded(range.len(), &move |device, r| {
             device.classify_i8(set.view(offset + r.start..offset + r.end))
         })
+        .map(|shards| shards.concat())
+    }
+
+    /// The fault-free pass of a campaign: predictions for the whole of
+    /// `set` and, for a windowed campaign, its golden-prefix cache — both
+    /// from one pass, sharded across the pool like
+    /// [`DevicePool::classify_i8`].
+    ///
+    /// Without a window, or when [`GoldenActivationCache::build`] would
+    /// return `None` (zero budget, a window that first bites op 0), this is
+    /// [`DevicePool::classify_i8`] and the cache is `None`. Otherwise each
+    /// device runs its shard's images inside the budget one by one, copying
+    /// the boundary's live-in surfaces on the way
+    /// ([`nvfi_accel::Accelerator::run_inference_capture_i8_view`]: one
+    /// `golden_prefix_passes`, no `golden_restores` per image), and
+    /// classifies its images past the budget batched. Cached images are a
+    /// prefix of the set, so concatenating the shards' bytes in image order
+    /// gives the cache [`GoldenActivationCache::build`] would capture on one
+    /// device, wherever the budget ends.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlatformError::Verify`] if a capturing device has an
+    /// active injector or an armed window, [`PlatformError::Accel`] on an
+    /// evaluation-set shape mismatch, and otherwise propagates the first
+    /// device error (by shard order).
+    pub fn baseline(
+        &mut self,
+        set: &QuantizedEvalSet,
+        window: Option<&Range<u64>>,
+        budget_bytes: usize,
+    ) -> Result<(Vec<u8>, Option<GoldenActivationCache>), PlatformError> {
+        let layout = window.and_then(|w| {
+            GoldenActivationCache::layout(&self.devices[0], set.len(), w, budget_bytes)
+        });
+        let Some(mut cache) = layout else {
+            return Ok((self.classify_i8(set)?, None));
+        };
+        self.check_set_shape(set)?;
+        let (boundary, stride, cached) = (cache.boundary, cache.stride, cache.cached_images);
+        let surfaces = &cache.surfaces;
+        let shards = self.classify_sharded(set.len(), &|device, r| {
+            require_fault_free(device)?;
+            let split = r.end.min(cached).max(r.start);
+            let mut preds = Vec::with_capacity(r.len());
+            let mut data = Vec::with_capacity((split - r.start) * stride);
+            for i in r.start..split {
+                let result = device.accel_mut().run_inference_capture_i8_view(
+                    set.view(i..i + 1),
+                    boundary,
+                    surfaces,
+                    &mut data,
+                )?;
+                preds.push(result.class);
+            }
+            if split < r.end {
+                preds.extend(device.classify_i8(set.view(split..r.end))?);
+            }
+            Ok((preds, data))
+        })?;
+        let mut preds = Vec::with_capacity(set.len());
+        cache.data.reserve_exact(cached * stride);
+        for (p, d) in shards {
+            preds.extend(p);
+            cache.data.extend(d);
+        }
+        Ok((preds, Some(cache)))
     }
 
     /// Validates `set` against the compiled plan's input shape.
@@ -538,27 +639,28 @@ impl DevicePool {
         Ok(())
     }
 
-    /// The shared shard/merge protocol of every classify entry point:
-    /// splits `images` per [`DevicePool::shard_plan`], runs `run_shard`
-    /// once per `(device, image range)` — on the calling thread for a
-    /// single shard, on scoped threads otherwise — and merges the per-shard
-    /// predictions in shard (= image) order, propagating the first error by
-    /// shard order.
-    fn classify_sharded(
+    /// The shared shard/merge protocol of every classify entry point and
+    /// [`DevicePool::baseline`]: splits `images` per
+    /// [`DevicePool::shard_plan`], runs `run_shard` once per
+    /// `(device, image range)` — on the calling thread for a single shard,
+    /// on scoped threads otherwise — and returns the per-shard results in
+    /// shard (= image) order for the caller to merge, propagating the first
+    /// error by shard order.
+    fn classify_sharded<T: Send>(
         &mut self,
         images: usize,
-        run_shard: &ShardFn<'_>,
-    ) -> Result<Vec<u8>, PlatformError> {
+        run_shard: &ShardFn<'_, T>,
+    ) -> Result<Vec<T>, PlatformError> {
         let granularity = Self::granularity(&self.config());
         let plan = Self::shard_plan(images, self.devices.len(), granularity);
         if plan.len() <= 1 {
             let _s = trace::span("pool.shard");
-            return run_shard(&mut self.devices[0], 0..images);
+            return Ok(vec![run_shard(&mut self.devices[0], 0..images)?]);
         }
         // Shard threads inherit the spawning thread's trace ids (worker
         // group, campaign) so their `pool.shard` spans attribute correctly.
         let ids = trace::current_ids();
-        let mut results: Vec<Result<Vec<u8>, PlatformError>> = Vec::with_capacity(plan.len());
+        let mut results: Vec<Result<T, PlatformError>> = Vec::with_capacity(plan.len());
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (shard, (device, range)) in self
@@ -580,11 +682,7 @@ impl DevicePool {
                 results.push(h.join().expect("pool shard worker panicked"));
             }
         });
-        let mut preds = Vec::with_capacity(images);
-        for r in results {
-            preds.extend(r?);
-        }
-        Ok(preds)
+        results.into_iter().collect()
     }
 
     /// Classifies a pre-quantized evaluation set under an armed transient
@@ -664,6 +762,7 @@ impl DevicePool {
             }
             Ok(preds)
         })
+        .map(|shards| shards.concat())
     }
 }
 
@@ -812,6 +911,118 @@ mod tests {
             single.classify(&ragged.images).unwrap(),
             pool.classify_i8(&set).unwrap()
         );
+    }
+
+    /// A transient window over the middle of `device`'s MAC schedule: a
+    /// real golden prefix to capture.
+    fn mid_window(device: &EmulationPlatform) -> Range<u64> {
+        let total = device.accel().total_mac_cycles().unwrap();
+        total / 2..total / 2 + total / 8
+    }
+
+    /// The fused baseline gives `classify_i8`'s predictions and the cache
+    /// `GoldenActivationCache::build` captures on one device, for pools of
+    /// 1–3 devices, a ragged final shard and budgets that end inside a
+    /// shard.
+    #[test]
+    fn baseline_matches_classify_and_single_device_build() {
+        let (q, eval) = setup();
+        let set = QuantizedEvalSet::build(&q, &eval.images);
+        let mut single = EmulationPlatform::assemble(&q, PlatformConfig::default()).unwrap();
+        let window = mid_window(&single);
+        let boundary = single.accel().first_op_in_window(&window).unwrap();
+        assert!(boundary > 0);
+        let stride: usize = single
+            .plan()
+            .live_in_surfaces(boundary)
+            .iter()
+            .map(|&(_, b)| b as usize)
+            .sum();
+        let clean = DevicePool::from_device(single.clone(), 1)
+            .classify_i8(&set)
+            .unwrap();
+        // 11 images in granules of 2: the last shard is always ragged, and
+        // a 5-image budget ends inside the first (2 devices) or second
+        // (3 devices) shard.
+        assert_eq!(DevicePool::shard_plan(11, 3, 2), vec![0..4, 4..8, 8..11]);
+        let config = PlatformConfig {
+            shard_images: 2,
+            ..Default::default()
+        };
+        for devices in 1..=3 {
+            let mut pool = DevicePool::assemble(&q, config, devices).unwrap();
+            for budget in [stride, stride * 5, stride * 5 + 1, usize::MAX] {
+                let (preds, got) = pool.baseline(&set, Some(&window), budget).unwrap();
+                assert_eq!(preds, clean, "{devices} device(s), budget {budget}");
+                let got = got.expect("a mid-schedule window is cached");
+                let want = GoldenActivationCache::build(&mut single, &set, &window, budget)
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(got.boundary(), want.boundary());
+                assert_eq!(got.surfaces(), want.surfaces());
+                assert_eq!(got.cached_images(), want.cached_images());
+                assert_eq!(
+                    got.data(),
+                    want.data(),
+                    "{devices} device(s), budget {budget}"
+                );
+            }
+            // No window, a zero budget, or a window biting op 0: plain
+            // classify, no cache.
+            for (w, budget) in [
+                (None, usize::MAX),
+                (Some(&window), 0),
+                (Some(&(1..2)), 1 << 30),
+            ] {
+                let (preds, cache) = pool.baseline(&set, w, budget).unwrap();
+                assert_eq!(preds, clean);
+                assert!(cache.is_none());
+            }
+        }
+    }
+
+    /// Both golden capture paths refuse a device with an active injector.
+    #[test]
+    fn golden_capture_refuses_an_active_injector() {
+        let (q, eval) = setup();
+        let set = QuantizedEvalSet::build(&q, &eval.images);
+        let mut device = EmulationPlatform::assemble(&q, PlatformConfig::default()).unwrap();
+        let window = mid_window(&device);
+        device.inject(&FaultConfig::new(
+            vec![MultId::new(1, 2)],
+            FaultKind::StuckAtZero,
+        ));
+        assert!(matches!(
+            GoldenActivationCache::build(&mut device, &set, &window, usize::MAX),
+            Err(PlatformError::Verify(_))
+        ));
+        let mut pool = DevicePool::from_device(device, 2);
+        assert!(matches!(
+            pool.baseline(&set, Some(&window), usize::MAX),
+            Err(PlatformError::Verify(_))
+        ));
+    }
+
+    /// Both golden capture paths refuse a device with an armed window.
+    #[test]
+    fn golden_capture_refuses_an_armed_window() {
+        let (q, eval) = setup();
+        let set = QuantizedEvalSet::build(&q, &eval.images);
+        let mut device = EmulationPlatform::assemble(&q, PlatformConfig::default()).unwrap();
+        let window = mid_window(&device);
+        device
+            .accel_mut()
+            .set_fault_window(Some(window.clone()))
+            .unwrap();
+        assert!(matches!(
+            GoldenActivationCache::build(&mut device, &set, &window, usize::MAX),
+            Err(PlatformError::Verify(_))
+        ));
+        let mut pool = DevicePool::from_device(device, 2);
+        assert!(matches!(
+            pool.baseline(&set, Some(&window), usize::MAX),
+            Err(PlatformError::Verify(_))
+        ));
     }
 
     #[test]

@@ -509,9 +509,10 @@ pub(crate) fn prepare(
         return Ok(Prepared::Immediate(result));
     }
     // Windowed campaigns build the golden activation cache once, on the
-    // coordinator's prototype — exactly like the in-process path — and ship
-    // it as a fourth content-addressed artifact so remote workers restore
-    // golden prefixes instead of recomputing them.
+    // coordinator's prototype (the in-process path captures it during its
+    // sharded baseline instead), and ship it as a fourth content-addressed
+    // artifact so remote workers restore golden prefixes instead of
+    // recomputing them.
     let golden = match &spec.fault_window {
         Some(w) => GoldenActivationCache::build(&mut proto, &qset, w, spec.golden_cache_bytes)?,
         None => None,

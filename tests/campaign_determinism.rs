@@ -418,3 +418,84 @@ fn thread_count_does_not_change_results() {
     let multi = campaign.run(&mk(3), &data.test).unwrap();
     assert_eq!(single.records, multi.records);
 }
+
+/// The fused baseline (`DevicePool::baseline`: the fault-free pass captures
+/// the golden-prefix cache on its way, sharded over the fleet) gives the
+/// same records and baseline accuracy for every fleet width and cache
+/// budget, and the same baseline accuracy as the window-free campaign.
+#[test]
+fn fused_baseline_is_fleet_and_budget_invariant() {
+    let q = zynq_nvdla_fi::nvfi::experiments::untrained_quant_model(4, 9);
+    let data = SynthCifar::new(SynthCifarConfig {
+        train: 0,
+        test: 11,
+        ..Default::default()
+    })
+    .generate();
+    let probe =
+        zynq_nvdla_fi::nvfi::EmulationPlatform::assemble(&q, PlatformConfig::default()).unwrap();
+    let total = probe.accel().total_mac_cycles().unwrap();
+    // The third quarter of the inference, which corrupts predictions on
+    // this seed.
+    let window = total / 2..total * 3 / 4;
+    let boundary = probe.accel().first_op_in_window(&window).unwrap();
+    let stride: u64 = probe
+        .plan()
+        .live_in_surfaces(boundary)
+        .iter()
+        .map(|&(_, b)| b)
+        .sum();
+    let all_mults: Vec<_> = zynq_nvdla_fi::nvfi_compiler::regmap::MultId::all().collect();
+    let spec = CampaignSpec {
+        selection: TargetSelection::Fixed(vec![all_mults, vec![]]),
+        kinds: vec![FaultKind::Constant(131071)],
+        eval_images: 11,
+        fault_window: Some(window),
+        ..Default::default()
+    };
+    // Granules of 2 images, so a 3-device fleet gets 3 shards (0..4, 4..8
+    // and a ragged 8..11) and a 5-image budget ends inside a shard.
+    let campaign = Campaign::new(
+        &q,
+        PlatformConfig {
+            shard_images: 2,
+            ..Default::default()
+        },
+    );
+    let reference = campaign.run(&spec, &data.test).unwrap();
+    assert!(
+        reference.records.iter().any(|r| r.outcomes.sdc > 0),
+        "the pulse must corrupt something for the comparison to bite"
+    );
+    for devices in 1..=3 {
+        for budget in [0, stride as usize * 5, spec.golden_cache_bytes] {
+            let run = campaign
+                .run(
+                    &CampaignSpec {
+                        threads: devices,
+                        pool_devices: devices,
+                        golden_cache_bytes: budget,
+                        ..spec.clone()
+                    },
+                    &data.test,
+                )
+                .unwrap();
+            assert_eq!(
+                run.records, reference.records,
+                "{devices} device(s), budget {budget}"
+            );
+            assert_eq!(run.baseline_accuracy, reference.baseline_accuracy);
+        }
+    }
+    let unwindowed = CampaignSpec {
+        fault_window: None,
+        ..spec
+    };
+    assert_eq!(
+        campaign
+            .run(&unwindowed, &data.test)
+            .unwrap()
+            .baseline_accuracy,
+        reference.baseline_accuracy
+    );
+}

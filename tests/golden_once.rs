@@ -119,6 +119,20 @@ fn campaign_computes_the_golden_prefix_exactly_once_per_image() {
     assert_eq!(golden_prefix_passes() - prefix_before, 0);
     assert_eq!(golden_restores() - restore_before, 0);
 
+    // One work item over 2 threads: the item and the fused baseline both
+    // shard over a 2-device pool. The baseline captures each image once
+    // (no restore) and the item restores each image once.
+    let one_item = CampaignSpec {
+        selection: TargetSelection::Fixed(vec![vec![MultId::new(0, 1)]]),
+        ..spec.clone()
+    };
+    let prefix_before = golden_prefix_passes();
+    let restore_before = golden_restores();
+    let result = campaign.run(&one_item, &data.test).unwrap();
+    assert_eq!(result.total_inferences, 2 * 10);
+    assert_eq!(golden_prefix_passes() - prefix_before, 10);
+    assert_eq!(golden_restores() - restore_before, 10);
+
     // A window-free campaign never touches the golden machinery.
     let unwindowed = CampaignSpec {
         fault_window: None,
