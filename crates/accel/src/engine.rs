@@ -37,7 +37,6 @@ use nvfi_compiler::plan::{ConvOp, ExecutionPlan, LinearOp, PlanOp, PoolKind, Poo
 use nvfi_compiler::regmap::MultId;
 use nvfi_compiler::surface;
 use nvfi_hwnum::{sat, I18};
-use nvfi_quant::exec::sdp_postprocess;
 use nvfi_tensor::{gemm, im2col, pool, ConvGeom, Shape4, Tensor};
 
 use crate::csb::CsbSpace;
@@ -1476,6 +1475,15 @@ impl LaneDelta<'_> {
 /// optional rescaled residual add, ReLU, saturation. Reads accumulator
 /// element `(k, oy, ox)` at `k * row_stride + col_off + oy * OW + ox` and
 /// writes the dense `K x OH x OW` output.
+///
+/// Bit-identical to [`nvfi_quant::exec::sdp_postprocess`] per element, but
+/// not built on it: that function widens to `i128` inside
+/// [`nvfi_hwnum::Requant::apply`], which keeps the pixel loop scalar. Here
+/// each channel's requantizers, bias and ReLU floor are fixed before the
+/// pixel loop, both requantizations use the exact 64-bit
+/// [`nvfi_hwnum::Requant::apply_narrow`], and ReLU plus i8 saturation is
+/// one clamp to `[relu ? 0 : -128, 127]`, so the loop auto-vectorizes.
+/// The CPU reference keeps `sdp_postprocess` as the oracle.
 fn sdp_into(
     op: &ConvOp,
     g: &ConvGeom,
@@ -1486,8 +1494,11 @@ fn sdp_into(
     out: &mut [i8],
 ) {
     let n_pix = g.oh * g.ow;
+    let lo = if op.relu { 0 } else { i64::from(i8::MIN) };
+    let hi = i64::from(i8::MAX);
     for k in 0..g.k {
         let rq = op.requant_for(k);
+        let bias = op.bias[k];
         let arow = &acc[k * row_stride + col_off..k * row_stride + col_off + n_pix];
         let orow = &mut out[k * n_pix..(k + 1) * n_pix];
         match residual {
@@ -1495,14 +1506,14 @@ fn sdp_into(
                 let add_rq = op.add_requant.expect("add requant");
                 let rrow = &res[k * n_pix..(k + 1) * n_pix];
                 for ((o, &a), &rv) in orow.iter_mut().zip(arow).zip(rrow) {
-                    let a = a.wrapping_add(op.bias[k]);
-                    *o = sdp_postprocess(a, rq, Some((rv, add_rq)), op.relu);
+                    let v =
+                        rq.apply_narrow(a.wrapping_add(bias)) + add_rq.apply_narrow(i32::from(rv));
+                    *o = v.clamp(lo, hi) as i8;
                 }
             }
             None => {
                 for (o, &a) in orow.iter_mut().zip(arow) {
-                    let a = a.wrapping_add(op.bias[k]);
-                    *o = sdp_postprocess(a, rq, None, op.relu);
+                    *o = rq.apply_narrow(a.wrapping_add(bias)).clamp(lo, hi) as i8;
                 }
             }
         }
@@ -1569,6 +1580,94 @@ mod tests {
     use nvfi_nn::fold::fold_resnet;
     use nvfi_nn::resnet::ResNet;
     use nvfi_quant::{quantize, QuantConfig};
+
+    /// `sdp_into` equals the CPU reference's per-element `sdp_postprocess`
+    /// for residual on/off × ReLU on/off × per-channel/broadcast
+    /// requantizers, on accumulators and biases over the whole wrapping-i32
+    /// range (fault-blown sums are where the 64-bit bound matters), read
+    /// from a column block inside a wider accumulator matrix.
+    #[test]
+    fn sdp_into_equals_sdp_postprocess() {
+        use nvfi_hwnum::Requant;
+        use nvfi_quant::exec::sdp_postprocess;
+        // xorshift64: a fixed, dependency-free stream of test values.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let g = ConvGeom::new(Shape4::new(1, 2, 6, 5), 8, 1, 1, 1, 0);
+        let n_pix = g.oh * g.ow;
+        let (row_stride, col_off) = (3 * n_pix, n_pix);
+        // Alternate full-range and small accumulators so both saturated
+        // and in-range outputs occur; the edges come first.
+        let mut acc: Vec<i32> = (0..g.k * row_stride)
+            .map(|i| {
+                if i % 2 == 0 {
+                    next() as i32
+                } else {
+                    (next() % 4001) as i32 - 2000
+                }
+            })
+            .collect();
+        for (k, edge) in [i32::MIN, i32::MAX, 0, -1, 1].into_iter().enumerate() {
+            for ch in 0..g.k {
+                acc[ch * row_stride + col_off + k] = edge;
+            }
+        }
+        let mut bias: Vec<i32> = (0..g.k).map(|_| (next() % 201) as i32 - 100).collect();
+        bias[1] = i32::MAX;
+        bias[2] = i32::MIN;
+        let residual: Vec<i8> = (0..g.k * n_pix).map(|_| next() as i8).collect();
+        let per_channel = vec![
+            Requant::from_parts(i32::MAX, 0),
+            Requant::from_parts(1 << 30, Requant::MAX_SHIFT),
+            Requant::from_scale(0.0173).unwrap(),
+            Requant::from_scale(1.0).unwrap(),
+            Requant::from_parts((next() >> 33) as i32, (next() % 63) as u8),
+            Requant::from_parts((next() >> 33) as i32, (next() % 32) as u8),
+            Requant::from_scale(3.0e-9).unwrap(),
+            Requant::from_parts(0, 5),
+        ];
+        for requant in [
+            per_channel.clone(),
+            vec![Requant::from_scale(0.05).unwrap()],
+        ] {
+            for add_requant in [None, Some(Requant::from_scale(0.7).unwrap())] {
+                for relu in [false, true] {
+                    let op = ConvOp {
+                        geom: g,
+                        input_addr: 0,
+                        output_addr: 0,
+                        weight_addr: 0,
+                        bias: bias.clone(),
+                        requant: requant.clone(),
+                        add_requant,
+                        fuse_add_addr: add_requant.map(|_| 0),
+                        relu,
+                    };
+                    let res = add_requant.map(|_| &residual[..]);
+                    let mut out = vec![0i8; g.k * n_pix];
+                    sdp_into(&op, &g, &acc, row_stride, col_off, res, &mut out);
+                    for k in 0..g.k {
+                        for p in 0..n_pix {
+                            let a = acc[k * row_stride + col_off + p].wrapping_add(bias[k]);
+                            let r = add_requant.map(|rq| (residual[k * n_pix + p], rq));
+                            let want = sdp_postprocess(a, op.requant_for(k), r, relu);
+                            assert_eq!(
+                                out[k * n_pix + p],
+                                want,
+                                "k={k} p={p} acc={a} residual={r:?} relu={relu} requant={}",
+                                op.requant_for(k)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// A device holds no more DRAM than its plan's footprint, after
     /// `load_plan` and after a per-image run that stages every surface

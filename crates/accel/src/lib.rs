@@ -18,8 +18,12 @@
 //!   selected per multiplier by the 64-bit `sel_a:sel_b` register pair and
 //!   programmed over the CSB/AXI4-Lite window ([`csb`]).
 //! * **CACC/SDP/PDP**: i32 accumulation, then bias / fixed-point
-//!   requantization / optional residual add / ReLU (shared, bit-exact code
-//!   with the CPU reference in `nvfi-quant`), and pooling.
+//!   requantization / optional residual add / ReLU, and pooling. The SDP
+//!   epilogue is the hot path's one non-GEMM loop per output element: it
+//!   runs the exact 64-bit `Requant::apply_narrow` with each channel's
+//!   constants fixed outside the pixel loop, so it auto-vectorizes, and it
+//!   is unit-tested bit for bit against the CPU reference's per-element
+//!   `sdp_postprocess` in `nvfi-quant`.
 //! * **DRAM**: a byte-addressable memory holding packed feature surfaces
 //!   and weights ([`dram`]). Its capacity is a logical bound; the host holds
 //!   only the bytes up to the highest one written, so a device clone copies

@@ -168,6 +168,40 @@ impl Requant {
         sat::clamp_i128_to_i64(rounded)
     }
 
+    /// [`Requant::apply`] for an `i32` input, computed in 64-bit arithmetic
+    /// only: equal to `self.apply(i64::from(x))` for every `x`.
+    ///
+    /// No step can overflow. `|x| ≤ 2^31` and `0 ≤ multiplier < 2^31`
+    /// (guaranteed by [`Requant::from_parts`] and [`Requant::from_scale`]),
+    /// so `|x · multiplier| < 2^62`; `shift ≤ MAX_SHIFT = 62` bounds the
+    /// rounding half `2^(shift − 1)` by `2^61`, so the rounded magnitude
+    /// stays below `2^63`, and the result needs no saturation. `half` is 0
+    /// at shift 0, so that case takes no branch. Without `i128` the loop
+    /// over a channel's pixels auto-vectorizes, which is what the
+    /// accelerator's SDP epilogue relies on.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use nvfi_hwnum::Requant;
+    ///
+    /// let r = Requant::from_scale(0.5).unwrap();
+    /// assert_eq!(r.apply_narrow(5), 3);
+    /// assert_eq!(r.apply_narrow(i32::MIN), r.apply(i64::from(i32::MIN)));
+    /// ```
+    #[inline]
+    #[must_use]
+    pub fn apply_narrow(self, x: i32) -> i64 {
+        let prod = i64::from(x) * i64::from(self.multiplier);
+        let half = (1i64 << self.shift) >> 1;
+        let mag = (prod.abs() + half) >> self.shift;
+        if prod < 0 {
+            -mag
+        } else {
+            mag
+        }
+    }
+
     /// Applies the requantizer and saturates the result to `i8`, the output
     /// activation format of the SDP.
     #[inline]
@@ -270,6 +304,39 @@ mod tests {
         let r = Requant::from_scale(1.0).unwrap();
         assert_eq!(r.apply(i64::MAX), i64::MAX);
         assert_eq!(r.apply(i64::MIN), i64::MIN);
+    }
+
+    /// `apply_narrow` is `apply` on the widened input for edge and random
+    /// inputs, edge and random multipliers, and every shift.
+    #[test]
+    fn apply_narrow_equals_apply() {
+        // splitmix64: a fixed, dependency-free stream of test values.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut xs = vec![i32::MIN, i32::MIN + 1, i32::MAX, 0, 1, -1];
+        xs.extend((0..64).map(|_| next() as i32));
+        // Small magnitudes hit exact halves at low shifts.
+        xs.extend((0..16).map(|_| (next() % 33) as i32 - 16));
+        let mut ms = vec![0, 1, 1 << 30, i32::MAX];
+        ms.extend((0..12).map(|_| (next() >> 33) as i32));
+        for shift in 0..=Requant::MAX_SHIFT {
+            for &m in &ms {
+                let r = Requant::from_parts(m, shift);
+                for &x in &xs {
+                    assert_eq!(
+                        r.apply_narrow(x),
+                        r.apply(i64::from(x)),
+                        "x={x} multiplier={m} shift={shift}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

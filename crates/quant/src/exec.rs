@@ -3,8 +3,9 @@
 //! This is simultaneously (a) the software inference engine timed for the
 //! CPU rows of Table I and (b) the semantic reference the accelerator model
 //! must reproduce bit-for-bit in the fault-free case. All post-accumulation
-//! arithmetic is funnelled through [`sdp_postprocess`], which the
-//! accelerator's SDP model calls too — agreement is by construction.
+//! arithmetic is funnelled through [`sdp_postprocess`], the per-element
+//! oracle: the systolic simulator calls it, and the accelerator's
+//! vectorizable SDP epilogue is unit-tested against it element for element.
 
 use nvfi_hwnum::{sat, Requant};
 use nvfi_tensor::{conv, pool, ConvGeom, Tensor};

@@ -35,10 +35,11 @@ pub fn im2col<T: Copy + Default>(image: &[T], geom: &ConvGeom) -> Mat<T> {
 }
 
 /// Buffer-reusing [`im2col`]: fills `out` (length
-/// `C*R*S * OH*OW`, row-major) with the column matrix, zeroing it first so
-/// padded taps read as zero. This is what lets the steady-state inference
-/// path run without per-op allocation — callers keep one scratch buffer
-/// sized to the largest convolution of the plan.
+/// `C*R*S * OH*OW`, row-major) with the column matrix, padded taps as zero;
+/// every element is written, so `out` may hold stale data. This is what
+/// lets the steady-state inference path run without per-op allocation —
+/// callers keep one scratch buffer sized to the largest convolution of the
+/// plan.
 ///
 /// # Panics
 ///
@@ -51,7 +52,15 @@ pub fn im2col_into<T: Copy + Default>(image: &[T], geom: &ConvGeom, out: &mut [T
 /// Strided [`im2col_into`]: writes one image's column block into a wider
 /// matrix whose rows are `row_stride` long, starting at column `col_off` —
 /// how a mini-batch's columns are laid side by side for one batched GEMM.
-/// Only this image's `OH*OW`-wide column block is zeroed and written.
+///
+/// Only this image's `OH*OW`-wide column block is written, and every
+/// element of it is (padded taps as zero); nothing outside the block
+/// changes, so the images of a batch can fill their blocks in any order
+/// without clearing the matrix first. A stride-1 convolution whose output
+/// is the input's size (`OH == H`, `OW == W`, the stem and every 3x3
+/// stride-1 layer of the ResNets) copies each tap row as one shifted run of
+/// its channel plane and zeroes only what the run does not cover; every
+/// other geometry zeroes the block and walks it output row by output row.
 ///
 /// # Panics
 ///
@@ -81,16 +90,34 @@ pub fn im2col_into_offset<T: Copy + Default>(
         rows * row_stride,
         "column buffer mismatch for {geom}"
     );
+    let block =
+        |row_idx: usize| row_idx * row_stride + col_off..row_idx * row_stride + col_off + cols;
+    if geom.stride == 1 && geom.oh == h && geom.ow == w {
+        let pad = geom.pad as isize;
+        for (c, plane) in image.chunks_exact(h * w).enumerate() {
+            for r in 0..geom.r {
+                for s in 0..geom.s {
+                    let row_idx = (c * geom.r + r) * geom.s + s;
+                    shifted_plane_row(
+                        plane,
+                        &mut out[block(row_idx)],
+                        w,
+                        r as isize - pad,
+                        s as isize - pad,
+                    );
+                }
+            }
+        }
+        return;
+    }
     for row_idx in 0..rows {
-        out[row_idx * row_stride + col_off..row_idx * row_stride + col_off + cols]
-            .fill(T::default());
+        out[block(row_idx)].fill(T::default());
     }
     for c in 0..ci {
         for r in 0..geom.r {
             for s in 0..geom.s {
                 let row_idx = (c * geom.r + r) * geom.s + s;
-                let row =
-                    &mut out[row_idx * row_stride + col_off..row_idx * row_stride + col_off + cols];
+                let row = &mut out[block(row_idx)];
                 for oy in 0..geom.oh {
                     let iy = (oy * geom.stride + r) as isize - geom.pad as isize;
                     if iy < 0 || iy >= h as isize {
@@ -121,6 +148,40 @@ pub fn im2col_into_offset<T: Copy + Default>(
                     }
                 }
             }
+        }
+    }
+}
+
+/// One tap row of a stride-1 convolution whose output is the input's size,
+/// for the tap at offset `(dy, dx)` from the window centre. Output pixel
+/// `p = oy*W + ox` reads plane pixel `p + dy*W + dx`, so the row is one
+/// shifted copy of the plane. Pixels whose source lies before or after the
+/// plane read zero, and so do the `|dx|` columns of each output row whose
+/// source wrapped into the neighbouring plane row.
+fn shifted_plane_row<T: Copy + Default>(
+    plane: &[T],
+    row: &mut [T],
+    w: usize,
+    dy: isize,
+    dx: isize,
+) {
+    let hw = plane.len() as isize;
+    let d = dy * w as isize + dx;
+    // Copied span [lo, hi): the output pixels whose source index p + d lies
+    // in the plane (lo <= hi for every d; empty when |d| >= H*W).
+    let lo = (-d).clamp(0, hw) as usize;
+    let hi = (hw - d).clamp(0, hw) as usize;
+    row[..lo].fill(T::default());
+    if lo < hi {
+        let src = (lo as isize + d) as usize;
+        row[lo..hi].copy_from_slice(&plane[src..src + (hi - lo)]);
+    }
+    row[hi..].fill(T::default());
+    let wrap = dx.unsigned_abs().min(w);
+    if wrap > 0 {
+        let wrapped = if dx > 0 { w - wrap..w } else { 0..wrap };
+        for out_row in row.chunks_exact_mut(w) {
+            out_row[wrapped.clone()].fill(T::default());
         }
     }
 }
@@ -191,6 +252,77 @@ mod tests {
         let img = Tensor::from_fn(Shape4::new(1, 1, 4, 4), |_, _, h, w| (h * 4 + w) as i8);
         let cols = im2col(img.image(0), &geom);
         assert_eq!(cols.as_slice(), &[0, 2, 8, 10]);
+    }
+
+    /// Naive per-element column matrix: tap `(c, r, s)`, pixel `(oy, ox)`
+    /// reads `(c, oy*stride + r - pad, ox*stride + s - pad)`, or zero.
+    fn naive_im2col<T: Copy + Default>(image: &[T], g: &ConvGeom) -> Vec<T> {
+        let Shape4 { c: ci, h, w, .. } = g.input;
+        let mut out = Vec::new();
+        for c in 0..ci {
+            for r in 0..g.r {
+                for s in 0..g.s {
+                    for oy in 0..g.oh {
+                        for ox in 0..g.ow {
+                            let iy = (oy * g.stride + r) as isize - g.pad as isize;
+                            let ix = (ox * g.stride + s) as isize - g.pad as isize;
+                            let inside =
+                                (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix);
+                            out.push(if inside {
+                                image[(c * h + iy as usize) * w + ix as usize]
+                            } else {
+                                T::default()
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `im2col_into_offset` into a sentinel-filled wider matrix: every
+    /// element of the block equals the naive reference (none is left at
+    /// the sentinel, which the reference never produces) and every element
+    /// outside it keeps the sentinel.
+    fn check_block_against_naive<T>(value: fn(usize) -> T, sentinel: T)
+    where
+        T: Copy + Default + PartialEq + std::fmt::Debug,
+    {
+        for pad in 0..=2 {
+            let k = 2 * pad + 1;
+            for c in [1, 3] {
+                for h in [1, 2, 5] {
+                    for w in [1, 2, 5] {
+                        for stride in [1, 2] {
+                            let geom = ConvGeom::new(Shape4::new(1, c, h, w), 1, k, k, stride, pad);
+                            let image: Vec<T> = (0..geom.input.image_len()).map(value).collect();
+                            let want = naive_im2col(&image, &geom);
+                            let cols = geom.oh * geom.ow;
+                            let (col_off, row_stride) = (3, cols + 5);
+                            let rows = c * k * k;
+                            let mut out = vec![sentinel; rows * row_stride];
+                            im2col_into_offset(&image, &geom, &mut out, row_stride, col_off);
+                            for (i, &got) in out.iter().enumerate() {
+                                let (row, col) = (i / row_stride, i % row_stride);
+                                let expect = if (col_off..col_off + cols).contains(&col) {
+                                    want[row * cols + col - col_off]
+                                } else {
+                                    sentinel
+                                };
+                                assert_eq!(got, expect, "{geom} row {row} col {col}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_copy_im2col_matches_naive_reference() {
+        check_block_against_naive(|i| (i % 100 + 1) as i8, -77);
+        check_block_against_naive(|i| i as f32 + 1.0, -1.0);
     }
 
     #[test]
