@@ -60,7 +60,7 @@ pub fn im2col_into<T: Copy + Default>(image: &[T], geom: &ConvGeom, out: &mut [T
 /// is the input's size (`OH == H`, `OW == W`, the stem and every 3x3
 /// stride-1 layer of the ResNets) copies each tap row as one shifted run of
 /// its channel plane and zeroes only what the run does not cover; every
-/// other geometry zeroes the block and walks it output row by output row.
+/// other geometry zeroes the block and fills it pixel by pixel.
 ///
 /// # Panics
 ///
@@ -126,25 +126,12 @@ pub fn im2col_into_offset<T: Copy + Default>(
                     let iy = iy as usize;
                     let src_row = &image[(c * h + iy) * w..(c * h + iy + 1) * w];
                     let dst_row = &mut row[oy * geom.ow..(oy + 1) * geom.ow];
-                    if geom.stride == 1 {
-                        // Contiguous run: the in-bounds ox span maps to a
-                        // contiguous input span shifted by (s - pad).
-                        let shift = s as isize - geom.pad as isize;
-                        let ox_lo = (-shift).max(0) as usize;
-                        let ox_hi = ((w as isize - shift).min(geom.ow as isize)).max(0) as usize;
-                        if ox_lo < ox_hi {
-                            let src_lo = (ox_lo as isize + shift) as usize;
-                            dst_row[ox_lo..ox_hi]
-                                .copy_from_slice(&src_row[src_lo..src_lo + (ox_hi - ox_lo)]);
+                    for (ox, dst) in dst_row.iter_mut().enumerate() {
+                        let ix = (ox * geom.stride + s) as isize - geom.pad as isize;
+                        if ix < 0 || ix >= w as isize {
+                            continue;
                         }
-                    } else {
-                        for (ox, dst) in dst_row.iter_mut().enumerate() {
-                            let ix = (ox * geom.stride + s) as isize - geom.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            *dst = src_row[ix as usize];
-                        }
+                        *dst = src_row[ix as usize];
                     }
                 }
             }
@@ -284,16 +271,20 @@ mod tests {
     /// `im2col_into_offset` into a sentinel-filled wider matrix: every
     /// element of the block equals the naive reference (none is left at
     /// the sentinel, which the reference never produces) and every element
-    /// outside it keeps the sentinel.
+    /// outside it keeps the sentinel. The odd "same" kernels at stride 1
+    /// take the run copy; the valid-padding kernels and stride 2 take the
+    /// walk.
     fn check_block_against_naive<T>(value: fn(usize) -> T, sentinel: T)
     where
         T: Copy + Default + PartialEq + std::fmt::Debug,
     {
-        for pad in 0..=2 {
-            let k = 2 * pad + 1;
+        for (k, pad) in [(1, 0), (3, 1), (5, 2), (2, 0), (3, 0)] {
             for c in [1, 3] {
                 for h in [1, 2, 5] {
                     for w in [1, 2, 5] {
+                        if h + 2 * pad < k || w + 2 * pad < k {
+                            continue;
+                        }
                         for stride in [1, 2] {
                             let geom = ConvGeom::new(Shape4::new(1, c, h, w), 1, k, k, stride, pad);
                             let image: Vec<T> = (0..geom.input.image_len()).map(value).collect();
